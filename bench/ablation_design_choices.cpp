@@ -43,11 +43,9 @@ int main(int argc, char** argv) {
 
   // Ablation 1: acceleration on/off.
   {
-    core::DetectorConfig accelerated = harness::saraa_config({10, 3, 1});
-    core::DetectorConfig pinned = core::DetectorSpec(accelerated).accelerate(false).config();
-    core::DetectorConfig accelerated2 = harness::saraa_config({6, 5, 1});
-    core::DetectorConfig pinned2 = core::DetectorSpec(accelerated2).accelerate(false).config();
-    const core::DetectorConfig configs[] = {accelerated, pinned, accelerated2, pinned2};
+    const core::DetectorConfig configs[] = {
+        harness::saraa_config({10, 3, 1}), core::parse_spec("SARAA-noaccel(n=10,K=3,D=1)"),
+        harness::saraa_config({6, 5, 1}), core::parse_spec("SARAA-noaccel(n=6,K=5,D=1)")};
     const std::string no_refs[] = {std::string("-")};
     bench::run_figure("ablation 1 — SARAA sampling acceleration on vs off", configs, options,
                       no_refs, /*with_loss_table=*/false);

@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "core/controller.h"
-#include "core/extensions.h"
 #include "core/factory.h"
 #include "harness/paper.h"
 #include "markov/stationary.h"

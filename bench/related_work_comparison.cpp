@@ -33,7 +33,8 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "core/extensions.h"
+#include "core/factory.h"
+#include "core/spec.h"
 #include "harness/experiment.h"
 #include "harness/paper.h"
 #include "harness/report.h"
@@ -205,34 +206,20 @@ int main(int argc, char** argv) {
   std::vector<harness::SweepResult> sweeps;
   const auto system = harness::paper_system();
 
-  sweeps.push_back(harness::run_custom_sweep(
-      "QuantileThreshold(97.5%)",
-      [&] {
-        return std::make_unique<core::QuantileThresholdDetector>(q975, 1, baseline);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "QuantileThreshold(97.5%,r=5)",
-      [&] {
-        return std::make_unique<core::QuantileThresholdDetector>(q975, 5, baseline);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Bobbio-deterministic(L=30)",
-      [&] { return std::make_unique<core::DeterministicThresholdPolicy>(30.0, baseline); },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Bobbio-risk(c=15,L=45)",
-      [&] {
-        return std::make_unique<core::RiskBasedPolicy>(15.0, 45.0, baseline, 99);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Trend(w=30,z=2.326)",
-      [&] {
-        return std::make_unique<core::TrendDetector>(30, 2.326, 0.05, baseline);
-      },
-      system, loads, protocol));
+  // The related-work policies are registry families like the paper's own;
+  // the curve labels keep the bench's established names.
+  const auto add_policy = [&](const std::string& label, core::DetectorConfig config) {
+    config.baseline = baseline;
+    sweeps.push_back(harness::run_custom_sweep(
+        label, [config] { return core::make_detector(config); }, system, loads, protocol));
+  };
+  add_policy("QuantileThreshold(97.5%)",
+             core::DetectorConfig("QuantileThreshold").set("x", q975).set("r", 1));
+  add_policy("QuantileThreshold(97.5%,r=5)",
+             core::DetectorConfig("QuantileThreshold").set("x", q975).set("r", 5));
+  add_policy("Bobbio-deterministic(L=30)", core::parse_spec("BobbioDet(L=30)"));
+  add_policy("Bobbio-risk(c=15,L=45)", core::parse_spec("BobbioRisk(c=15,w=30,seed=99)"));
+  add_policy("Trend(w=30,z=2.326)", core::parse_spec("Trend(w=30,z=2.326,s=0.05)"));
   // Rejuvenate just before the GC threshold (100 MB) would trip: the pause
   // never happens, at the price of steady in-flight loss at every load.
   sweeps.push_back(run_resource_exhaustion_sweep(system, loads, protocol, 150.0));

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -22,6 +23,14 @@ Flags Flags::parse(int argc, const char* const* argv) {
     }
   }
   return flags;
+}
+
+void Flags::expect_only(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::invalid_argument("unknown flag: --" + key);
+    }
+  }
 }
 
 bool Flags::has(const std::string& key) const { return values_.count(key) != 0; }

@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rejuv::common {
@@ -20,6 +22,11 @@ class Flags {
   /// Parses argv; throws std::invalid_argument on a token that is not of the
   /// form `--key` or `--key=value`.
   static Flags parse(int argc, const char* const* argv);
+
+  /// Throws std::invalid_argument naming the first flag that is not in
+  /// `known`, so a misspelled or unsupported flag fails loudly instead of
+  /// being silently ignored.
+  void expect_only(std::initializer_list<std::string_view> known) const;
 
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;

@@ -65,12 +65,19 @@ class Xoshiro256pp {
   /// non-overlapping substreams.
   void jump() noexcept;
 
+  /// The four state words, for checkpointing a generator mid-stream.
+  using State = std::array<std::uint64_t, 4>;
+  const State& state() const noexcept { return state_; }
+  /// Resumes from a saved state; the all-zero state is a fixed point of the
+  /// generator and must never be restored.
+  void set_state(const State& state) noexcept { state_ = state; }
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_{};
+  State state_{};
 };
 
 /// A named substream of randomness. Streams derived from the same root seed
@@ -97,6 +104,11 @@ class RngStream {
   /// Uniform double in the half-open interval (0, 1]; safe as input to
   /// -log(u) without producing infinities.
   double uniform01_open_below() noexcept { return 1.0 - uniform01(); }
+
+  /// Engine state, so a detector that draws randomness can checkpoint and
+  /// resume the exact same draw sequence.
+  const Xoshiro256pp::State& state() const noexcept { return engine_.state(); }
+  void set_state(const Xoshiro256pp::State& state) noexcept { engine_.set_state(state); }
 
  private:
   static std::uint64_t derive_seed(std::uint64_t root_seed, std::uint64_t stream_id) noexcept {

@@ -1,17 +1,21 @@
-// Comparison detectors beyond the paper's three algorithms.
+// Comparison policies beyond the paper's three algorithms, registered as
+// ordinary detector families so every tool builds them from a spec string.
 //
-// - QuantileThresholdDetector: the strawman §4.1 dismisses — trigger when a
-//   single observation exceeds a pre-determined upper quantile of the
+// - QuantileThreshold(x,r): the strawman §4.1 dismisses — trigger when r
+//   successive observations exceed a pre-determined upper quantile x of the
 //   healthy RT distribution. Kept as a baseline precisely because it is
 //   "not robust for short-term deviations".
-// - DeterministicThresholdPolicy / RiskBasedPolicy: the two policies of
-//   Bobbio, Sereno & Anglano [5], which the paper cites as its closest
-//   relatives. Both monitor a degradation level against a maximum threshold;
-//   the deterministic policy rejuvenates as soon as the threshold is
-//   reached, the risk-based one rejuvenates with a probability that grows
-//   with the excursion above a confidence level.
-// - TrendDetector: a Mann-Kendall trend monitor in the spirit of the
-//   measurement-based aging estimation of Trivedi et al. [15].
+// - BobbioDet(L) / BobbioRisk(c,w,seed): the two policies of Bobbio, Sereno
+//   & Anglano [5], which the paper cites as its closest relatives. Both
+//   monitor a degradation level against a maximum threshold; the
+//   deterministic policy rejuvenates as soon as the threshold L is reached,
+//   the risk-based one rejuvenates with a probability that grows linearly
+//   across the band [c, c + w] and is certain at or above c + w.
+// - Trend(w,z,s): a Mann-Kendall trend monitor in the spirit of the
+//   measurement-based aging estimation of Trivedi et al. [15]. It fires on
+//   the first significantly increasing window; the MK family instead feeds
+//   its verdicts through an escalation cascade, so even MK(L=1) needs two
+//   net aging windows and the two cannot share an implementation.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +24,15 @@
 
 #include "common/rng.h"
 #include "core/detector.h"
-#include "stats/p2_quantile.h"
-#include "stats/trend.h"
+#include "core/registry.h"
 
 namespace rejuv::core {
+
+/// Registry descriptors of the comparison families.
+DetectorDescriptor quantile_threshold_descriptor();  ///< QuantileThreshold(x, r)
+DetectorDescriptor trend_descriptor();               ///< Trend(w, z, s)
+DetectorDescriptor bobbio_det_descriptor();          ///< BobbioDet(L)
+DetectorDescriptor bobbio_risk_descriptor();         ///< BobbioRisk(c, w, seed)
 
 /// Triggers when `consecutive_exceedances` successive observations exceed
 /// the threshold (1 = the pure quantile rule).
@@ -39,9 +48,8 @@ class QuantileThresholdDetector final : public Detector {
   std::string name() const override;
   const Baseline& baseline() const override { return baseline_; }
   obs::DetectorSnapshot snapshot() const override;
-
-  double threshold() const noexcept { return threshold_; }
-  std::uint64_t run_length() const noexcept { return run_length_; }
+  DetectorState save_state() const override;
+  void restore_state(const DetectorState& state) override;
 
  private:
   double threshold_;
@@ -52,7 +60,8 @@ class QuantileThresholdDetector final : public Detector {
 };
 
 /// Bobbio et al.'s deterministic policy: rejuvenate as soon as the observed
-/// degradation level reaches the maximum threshold.
+/// degradation level reaches the maximum threshold. Stateless between
+/// observations, so the base checkpoint suffices.
 class DeterministicThresholdPolicy final : public Detector {
  public:
   DeterministicThresholdPolicy(double max_degradation_level, Baseline baseline);
@@ -74,9 +83,9 @@ class DeterministicThresholdPolicy final : public Detector {
 /// excursion; at or above the maximum, always rejuvenate.
 class RiskBasedPolicy final : public Detector {
  public:
-  /// `confidence_level` < `max_degradation_level`. `seed` makes the
+  /// The maximum level is `confidence_level + band_width`. `seed` makes the
   /// randomized decision reproducible.
-  RiskBasedPolicy(double confidence_level, double max_degradation_level, Baseline baseline,
+  RiskBasedPolicy(double confidence_level, double band_width, Baseline baseline,
                   std::uint64_t seed);
 
   Decision observe(double value) override;
@@ -84,55 +93,27 @@ class RiskBasedPolicy final : public Detector {
   std::string name() const override;
   const Baseline& baseline() const override { return baseline_; }
   obs::DetectorSnapshot snapshot() const override;
+  /// Carries the generator state, so a restored policy draws the same
+  /// randomness an uninterrupted one would.
+  DetectorState save_state() const override;
+  void restore_state(const DetectorState& state) override;
 
   /// Rejuvenation probability assigned to an observation at `value`.
   double rejuvenation_probability(double value) const;
 
  private:
   double confidence_level_;
+  double band_width_;
   double max_level_;
   Baseline baseline_;
+  std::uint64_t seed_;
   common::RngStream rng_;
-  double last_value_ = 0.0;
-};
-
-/// Self-calibrating quantile rule: estimates the chosen upper quantile of
-/// the *healthy* metric online (P² algorithm) during a calibration window,
-/// freezes it, and then behaves as a QuantileThreshold policy against the
-/// estimated value. Combines the paper's future-work direction (learning
-/// "normal behaviour" from measurements) with the threshold policy family.
-class AdaptiveQuantileDetector final : public Detector {
- public:
-  /// `quantile` in (0, 1), e.g. 0.995; `calibration_size` >= 100 healthy
-  /// observations; `consecutive_exceedances` as in QuantileThresholdDetector.
-  AdaptiveQuantileDetector(double quantile, std::uint64_t calibration_size,
-                           std::uint64_t consecutive_exceedances, Baseline baseline);
-
-  Decision observe(double value) override;
-  /// Keeps the calibrated threshold; clears the exceedance run.
-  void reset() override;
-  std::string name() const override;
-  const Baseline& baseline() const override { return baseline_; }
-  obs::DetectorSnapshot snapshot() const override;
-
-  bool calibrated() const noexcept { return estimator_.count() >= calibration_size_; }
-  /// The frozen threshold; only meaningful once calibrated().
-  double threshold() const;
-
- private:
-  double quantile_p_;
-  std::uint64_t calibration_size_;
-  std::uint64_t required_;
-  Baseline baseline_;
-  stats::P2Quantile estimator_;
-  double threshold_ = 0.0;
-  std::uint64_t run_length_ = 0;
   double last_value_ = 0.0;
 };
 
 /// Mann-Kendall trend monitor: collects disjoint windows of `window`
 /// observations and triggers on a significant increasing trend whose Sen
-/// slope exceeds `min_slope` per observation.
+/// slope is at least `min_slope` per observation.
 class TrendDetector final : public Detector {
  public:
   TrendDetector(std::size_t window, double z_alpha, double min_slope, Baseline baseline);
@@ -142,8 +123,8 @@ class TrendDetector final : public Detector {
   std::string name() const override;
   const Baseline& baseline() const override { return baseline_; }
   obs::DetectorSnapshot snapshot() const override;
-
-  std::size_t pending_observations() const noexcept { return buffer_.size(); }
+  DetectorState save_state() const override;
+  void restore_state(const DetectorState& state) override;
 
  private:
   std::size_t window_;

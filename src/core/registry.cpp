@@ -9,6 +9,7 @@
 #include "core/clta.h"
 #include "core/ediv.h"
 #include "core/entropy_detector.h"
+#include "core/extensions.h"
 #include "core/factory.h"
 #include "core/mk_detector.h"
 #include "core/saraa.h"
@@ -71,6 +72,12 @@ DetectorRegistry& DetectorRegistry::instance() {
     fresh->register_family(ediv_descriptor());
     fresh->register_family(entropy_descriptor());
     fresh->register_family(mk_descriptor());
+    // The related-work comparison policies, appended so the families above
+    // keep their registration order.
+    fresh->register_family(quantile_threshold_descriptor());
+    fresh->register_family(trend_descriptor());
+    fresh->register_family(bobbio_det_descriptor());
+    fresh->register_family(bobbio_risk_descriptor());
     return fresh;
   }();
   return *registry;

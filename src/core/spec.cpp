@@ -127,23 +127,4 @@ void validate_config(const DetectorConfig& config) {
   }
 }
 
-DetectorSpec& DetectorSpec::accelerate(bool on) {
-  const std::string& family = config_.family();
-  const bool is_accel = family == "SARAA";
-  const bool is_noaccel = family == "SARAA-noaccel";
-  if ((on && !is_noaccel) || (!on && !is_accel)) return *this;
-  DetectorConfig swapped(on ? "SARAA" : "SARAA-noaccel");
-  for (const ParamSpec& param : config_.descriptor().params) {
-    swapped.set(param.key, config_.get(param.key));
-  }
-  swapped.baseline = config_.baseline;
-  config_ = swapped;
-  return *this;
-}
-
-const DetectorConfig& DetectorSpec::config() const {
-  validate_config(config_);
-  return config_;
-}
-
 }  // namespace rejuv::core

@@ -80,10 +80,11 @@ struct SweepResult {
 };
 
 /// Builds a fresh detector per replication; may return nullptr ("never
-/// rejuvenate"). Used to sweep detectors that DetectorConfig cannot
-/// describe (the extension detectors of core/extensions.h). Must be safe to
-/// invoke from several threads at once (sweeps parallelize across
-/// (point, replication) work items unless the protocol disables it).
+/// rejuvenate"). Used where a sweep needs more than one DetectorConfig
+/// names: a custom curve label, or a wrapper such as CalibratingDetector
+/// around a make_detector() result. Must be safe to invoke from several
+/// threads at once (sweeps parallelize across (point, replication) work
+/// items unless the protocol disables it).
 using DetectorFactory = std::function<std::unique_ptr<core::Detector>()>;
 
 /// Runs one point: `protocol.replications` independent runs of the system at

@@ -43,7 +43,9 @@ class EventLoop {
   const std::string& error() const noexcept { return error_; }
 
   /// Registers `fd` for `events` (e.g. EPOLLIN). The fd is not owned; the
-  /// caller closes it after remove(). False on EPOLL_CTL_ADD failure.
+  /// caller closes it after remove(). False on EPOLL_CTL_ADD failure, with
+  /// errno preserved (EPERM: the fd is a regular file or another
+  /// descriptor epoll cannot watch).
   bool add(int fd, std::uint32_t events, Callback callback);
   /// Changes the event mask of a registered fd.
   bool modify(int fd, std::uint32_t events);

@@ -482,6 +482,11 @@ FleetStats FleetMonitor::run() {
     }
   };
 
+  // Regular files and /dev/null are always readable and epoll refuses them
+  // (EPERM). They are read with plain reads instead: one on_readable round
+  // per loop iteration, so they interleave with sockets and inline drains.
+  std::vector<int> unpollable;
+
   auto add_connection = [&](int fd, bool socket) {
     set_nonblocking(fd);
     auto conn = std::make_unique<Connection>(fd, socket, config_.protocol, next_text_id_++);
@@ -490,7 +495,14 @@ FleetStats FleetMonitor::run() {
     ++stats_.connections_accepted;
     if (counters_.connections != nullptr) counters_.connections->increment();
     ingest_tracer_.connection_accepted(connections_.size());
-    loop.add(fd, EPOLLIN, on_readable);
+    if (loop.add(fd, EPOLLIN, on_readable)) return;
+    if (errno == EPERM) {
+      unpollable.push_back(fd);
+      return;
+    }
+    ingest_tracer_.source_error(std::string("epoll_ctl: ") + ::strerror(errno),
+                                ++stats_.protocol_errors);
+    close_connection(fd, false);
   };
 
   // EMFILE backoff state: when accept() hits a descriptor limit the
@@ -548,7 +560,15 @@ FleetStats FleetMonitor::run() {
       ingest_tracer_.set_time(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_).count());
     }
-    loop.poll(config_.idle_poll);
+    for (std::size_t i = 0; i < unpollable.size();) {
+      on_readable(unpollable[i], EPOLLIN);
+      if (connections_.count(unpollable[i]) == 0) {
+        unpollable.erase(unpollable.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    loop.poll(unpollable.empty() ? config_.idle_poll : std::chrono::milliseconds(0));
     if (config_.inline_processing) drain_inline();
     if (config_.max_observations > 0 && stats_.observations >= config_.max_observations) break;
     if (config_.stop_when_sources_done && saw_input && connections_.empty()) break;

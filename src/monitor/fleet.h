@@ -62,7 +62,8 @@ struct FleetConfig {
   bool listen = true;
   std::uint16_t port = 0;
   /// Pre-opened descriptors (pipes, files) read alongside the sockets. The
-  /// engine takes ownership and closes them.
+  /// engine takes ownership and closes them. Descriptors epoll cannot watch
+  /// (regular files, /dev/null) are read to EOF with plain reads.
   std::vector<int> input_fds;
   /// Stop once every input fd hit EOF and every accepted connection closed
   /// (after at least one input existed). The mode for bounded runs — tests,

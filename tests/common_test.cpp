@@ -211,6 +211,18 @@ TEST(Flags, RejectsBareDoubleDash) {
   EXPECT_THROW(Flags::parse(2, argv), std::invalid_argument);
 }
 
+TEST(Flags, ExpectOnlyNamesTheUnknownFlag) {
+  const char* argv[] = {"prog", "--txns=500", "--algorithmm=clta"};
+  const Flags flags = Flags::parse(3, argv);
+  EXPECT_NO_THROW(flags.expect_only({"txns", "algorithmm"}));
+  try {
+    flags.expect_only({"txns", "algorithm"});
+    FAIL() << "an unknown flag must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--algorithmm"), std::string::npos) << error.what();
+  }
+}
+
 // ---------------------------------------------------------------- expect
 
 TEST(Expect, PreconditionFailureThrowsInvalidArgument) {

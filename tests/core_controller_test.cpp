@@ -118,12 +118,6 @@ TEST(Factory, NkdProduct) {
   EXPECT_EQ(sraa_config(15, 1, 1).nkd_product(), 15u);
 }
 
-TEST(Factory, AlgorithmNames) {
-  EXPECT_EQ(algorithm_name(Algorithm::kSraa), "SRAA");
-  EXPECT_EQ(algorithm_name(Algorithm::kNone), "None");
-  EXPECT_EQ(algorithm_name(Algorithm::kClta), "CLTA");
-}
-
 // ------------------------------------------------------- controller
 
 TEST(Controller, CountsTriggersAndIndices) {

@@ -1,13 +1,17 @@
-// Tests for the extension detectors (core/extensions.h), the trend
+// Tests for the comparison detector families (core/extensions.h), the trend
 // statistics (stats/trend.h), and the CTMC stationary solver closing the
 // loop on the paper's Fig. 1.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/extensions.h"
+#include "core/factory.h"
+#include "core/spec.h"
 #include "markov/stationary.h"
 #include "queueing/mmc.h"
 #include "sim/variates.h"
@@ -15,8 +19,6 @@
 
 namespace rejuv {
 namespace {
-
-const core::Baseline kBaseline{5.0, 5.0};
 
 // ------------------------------------------------------- Mann-Kendall
 
@@ -80,48 +82,66 @@ TEST(SenSlope, RobustToOutliers) {
 }
 
 // ------------------------------------------------------- QuantileThreshold
+//
+// The comparison policies are registry families: every test builds them the
+// way the tools do, from a spec string through make_detector().
+
+std::unique_ptr<core::Detector> build(const std::string& spec) {
+  return core::make_detector(core::parse_spec(spec));
+}
 
 TEST(QuantileThreshold, SingleExceedanceFires) {
-  core::QuantileThresholdDetector detector(15.0, 1, kBaseline);
-  EXPECT_EQ(detector.observe(14.9), core::Decision::kContinue);
-  EXPECT_EQ(detector.observe(15.1), core::Decision::kRejuvenate);
+  const auto detector = build("QuantileThreshold(x=15,r=1)");
+  EXPECT_EQ(detector->observe(14.9), core::Decision::kContinue);
+  EXPECT_EQ(detector->observe(15.1), core::Decision::kRejuvenate);
 }
 
 TEST(QuantileThreshold, RunLengthRequirement) {
-  core::QuantileThresholdDetector detector(10.0, 3, kBaseline);
-  EXPECT_EQ(detector.observe(11.0), core::Decision::kContinue);
-  EXPECT_EQ(detector.observe(11.0), core::Decision::kContinue);
-  EXPECT_EQ(detector.observe(9.0), core::Decision::kContinue);  // run broken
-  EXPECT_EQ(detector.observe(11.0), core::Decision::kContinue);
-  EXPECT_EQ(detector.observe(11.0), core::Decision::kContinue);
-  EXPECT_EQ(detector.observe(11.0), core::Decision::kRejuvenate);
-  EXPECT_EQ(detector.run_length(), 0u);
+  const auto detector = build("QuantileThreshold(x=10,r=3)");
+  EXPECT_EQ(detector->observe(11.0), core::Decision::kContinue);
+  EXPECT_EQ(detector->observe(11.0), core::Decision::kContinue);
+  EXPECT_EQ(detector->observe(9.0), core::Decision::kContinue);  // run broken
+  EXPECT_EQ(detector->observe(11.0), core::Decision::kContinue);
+  EXPECT_EQ(detector->observe(11.0), core::Decision::kContinue);
+  EXPECT_EQ(detector->observe(11.0), core::Decision::kRejuvenate);
+  EXPECT_EQ(detector->snapshot().fill, 0);  // the run restarts after a trigger
 }
 
 TEST(QuantileThreshold, FalseAlarmRateMatchesTailMass) {
   // The paper's §4.1 objection quantified: on healthy Exp(5) traffic the
   // 97.5% rule fires on ~2.5% of observations.
-  const double q975 = -5.0 * std::log(0.025);
-  core::QuantileThresholdDetector detector(q975, 1, kBaseline);
+  core::DetectorConfig config{"QuantileThreshold"};
+  config.set("x", -5.0 * std::log(0.025)).set("r", 1);
+  const auto detector = core::make_detector(config);
   common::RngStream rng(73, 0);
   int triggers = 0;
   constexpr int kSamples = 100000;
   for (int i = 0; i < kSamples; ++i) {
-    if (detector.observe(sim::exponential(rng, 0.2)) == core::Decision::kRejuvenate) ++triggers;
+    if (detector->observe(sim::exponential(rng, 0.2)) == core::Decision::kRejuvenate) ++triggers;
   }
   EXPECT_NEAR(static_cast<double>(triggers) / kSamples, 0.025, 0.003);
+}
+
+TEST(QuantileThreshold, NameIsTheCanonicalSpec) {
+  // The name prints the threshold exactly, so checkpoints and traces carry a
+  // spec that parses back to the same detector.
+  core::DetectorConfig config{"QuantileThreshold"};
+  config.set("x", 16.3791).set("r", 2);
+  EXPECT_EQ(core::make_detector(config)->name(), "QuantileThreshold(x=16.3791,r=2)");
+  EXPECT_EQ(core::parse_spec(core::describe(config)), config);
 }
 
 // ------------------------------------------------------- Bobbio policies
 
 TEST(BobbioDeterministic, FiresExactlyAtThreshold) {
-  core::DeterministicThresholdPolicy policy(30.0, kBaseline);
-  EXPECT_EQ(policy.observe(29.999), core::Decision::kContinue);
-  EXPECT_EQ(policy.observe(30.0), core::Decision::kRejuvenate);
+  const auto policy = build("BobbioDet(L=30)");
+  EXPECT_EQ(policy->observe(29.999), core::Decision::kContinue);
+  EXPECT_EQ(policy->observe(30.0), core::Decision::kRejuvenate);
 }
 
 TEST(BobbioRisk, ProbabilityRampsLinearly) {
-  core::RiskBasedPolicy policy(10.0, 20.0, kBaseline, 1);
+  const auto detector = build("BobbioRisk(c=10,w=10,seed=1)");
+  const auto& policy = dynamic_cast<const core::RiskBasedPolicy&>(*detector);
   EXPECT_DOUBLE_EQ(policy.rejuvenation_probability(5.0), 0.0);
   EXPECT_DOUBLE_EQ(policy.rejuvenation_probability(10.0), 0.0);
   EXPECT_DOUBLE_EQ(policy.rejuvenation_probability(15.0), 0.5);
@@ -130,83 +150,57 @@ TEST(BobbioRisk, ProbabilityRampsLinearly) {
 }
 
 TEST(BobbioRisk, EmpiricalTriggerFrequencyTracksProbability) {
-  core::RiskBasedPolicy policy(10.0, 20.0, kBaseline, 2);
+  const auto policy = build("BobbioRisk(c=10,w=10,seed=2)");
   int triggers = 0;
   constexpr int kSamples = 100000;
   for (int i = 0; i < kSamples; ++i) {
-    if (policy.observe(15.0) == core::Decision::kRejuvenate) ++triggers;
+    if (policy->observe(15.0) == core::Decision::kRejuvenate) ++triggers;
   }
   EXPECT_NEAR(static_cast<double>(triggers) / kSamples, 0.5, 0.01);
 }
 
 TEST(BobbioRisk, AlwaysFiresAtMaximumLevel) {
-  core::RiskBasedPolicy policy(10.0, 20.0, kBaseline, 3);
+  const auto policy = build("BobbioRisk(c=10,w=10,seed=3)");
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.observe(20.0), core::Decision::kRejuvenate);
+    EXPECT_EQ(policy->observe(20.0), core::Decision::kRejuvenate);
   }
 }
 
 TEST(BobbioRisk, ValidatesLevels) {
-  EXPECT_THROW(core::RiskBasedPolicy(20.0, 10.0, kBaseline, 1), std::invalid_argument);
-  EXPECT_THROW(core::RiskBasedPolicy(10.0, 10.0, kBaseline, 1), std::invalid_argument);
+  EXPECT_THROW(core::parse_spec("BobbioRisk(c=10,w=0)"), std::invalid_argument);
+  EXPECT_THROW(core::parse_spec("BobbioRisk(c=10,w=-5)"), std::invalid_argument);
+  EXPECT_THROW(core::parse_spec("BobbioRisk(c=0,w=10)"), std::invalid_argument);
+  EXPECT_THROW(core::parse_spec("BobbioRisk(seed=1.5)"), std::invalid_argument);
 }
 
-// ------------------------------------------------------- AdaptiveQuantile
-
-TEST(AdaptiveQuantile, CalibratesToTheHealthyTail) {
-  core::AdaptiveQuantileDetector detector(0.99, 20000, 1, kBaseline);
-  common::RngStream rng(91, 0);
-  for (int i = 0; i < 20000; ++i) {
-    EXPECT_EQ(detector.observe(sim::exponential(rng, 0.2)), core::Decision::kContinue);
-  }
-  ASSERT_TRUE(detector.calibrated());
-  // Exp(5) 99% quantile = -5 ln(0.01) = 23.03.
-  EXPECT_NEAR(detector.threshold(), 23.03, 1.5);
-}
-
-TEST(AdaptiveQuantile, FiresOnPostCalibrationExceedance) {
-  core::AdaptiveQuantileDetector detector(0.95, 1000, 2, kBaseline);
-  common::RngStream rng(91, 1);
-  for (int i = 0; i < 1000; ++i) detector.observe(sim::exponential(rng, 1.0));
-  ASSERT_TRUE(detector.calibrated());
-  const double above = detector.threshold() + 10.0;
-  EXPECT_EQ(detector.observe(above), core::Decision::kContinue);  // run of 1 < 2
-  EXPECT_EQ(detector.observe(above), core::Decision::kRejuvenate);
-}
-
-TEST(AdaptiveQuantile, ThresholdFrozenAfterCalibration) {
-  core::AdaptiveQuantileDetector detector(0.9, 1000, 1, kBaseline);
-  common::RngStream rng(91, 2);
-  for (int i = 0; i < 1000; ++i) detector.observe(sim::exponential(rng, 1.0));
-  const double frozen = detector.threshold();
-  for (int i = 0; i < 5000; ++i) detector.observe(0.01);  // tiny values
-  EXPECT_DOUBLE_EQ(detector.threshold(), frozen);
-}
-
-TEST(AdaptiveQuantile, ValidatesParameters) {
-  EXPECT_THROW(core::AdaptiveQuantileDetector(0.9, 50, 1, kBaseline), std::invalid_argument);
-  EXPECT_THROW(core::AdaptiveQuantileDetector(0.9, 1000, 0, kBaseline), std::invalid_argument);
-  core::AdaptiveQuantileDetector detector(0.9, 1000, 1, kBaseline);
-  EXPECT_THROW(detector.threshold(), std::invalid_argument);
+TEST(BobbioRisk, RestoreRejectsAnAllZeroGeneratorState) {
+  // Split-resume of the draws is a registry-wide property test; the all-zero
+  // xoshiro state is a fixed point and must never be restored.
+  const auto policy = build("BobbioRisk(c=10,w=10,seed=4)");
+  core::DetectorState state = policy->save_state();
+  ASSERT_EQ(state.extra_u64.size(), 4u);
+  policy->restore_state(state);
+  state.extra_u64.assign(4, 0);
+  EXPECT_THROW(policy->restore_state(state), std::invalid_argument);
 }
 
 // ------------------------------------------------------- TrendDetector
 
 TEST(TrendDetector, FiresOnClimbingResponseTimes) {
-  core::TrendDetector detector(30, 1.96, 0.0, kBaseline);
+  const auto detector = build("Trend(w=30,z=1.96,s=0)");
   core::Decision last = core::Decision::kContinue;
   for (int i = 0; i < 30; ++i) {
-    last = detector.observe(5.0 + 0.5 * i);
+    last = detector->observe(5.0 + 0.5 * i);
   }
   EXPECT_EQ(last, core::Decision::kRejuvenate);
 }
 
 TEST(TrendDetector, QuietOnStationaryNoise) {
-  core::TrendDetector detector(30, 2.326, 0.05, kBaseline);
+  const auto detector = build("Trend(w=30,z=2.326,s=0.05)");
   common::RngStream rng(79, 0);
   int triggers = 0;
   for (int i = 0; i < 60000; ++i) {
-    if (detector.observe(sim::exponential(rng, 0.2)) == core::Decision::kRejuvenate) ++triggers;
+    if (detector->observe(sim::exponential(rng, 0.2)) == core::Decision::kRejuvenate) ++triggers;
   }
   // 2000 windows at a ~1% one-sided level: the trigger rate must sit near
   // the nominal level (the slope floor of 0.05 filters only a little of the
@@ -218,17 +212,35 @@ TEST(TrendDetector, QuietOnStationaryNoise) {
 TEST(TrendDetector, SlopeFloorFiltersShallowTrends) {
   // A statistically significant but shallow trend must not fire when the
   // minimum slope is above it.
-  core::TrendDetector strict(30, 1.96, 1.0, kBaseline);
+  const auto strict = build("Trend(w=30,z=1.96,s=1)");
   core::Decision last = core::Decision::kContinue;
-  for (int i = 0; i < 30; ++i) last = strict.observe(5.0 + 0.01 * i);
+  for (int i = 0; i < 30; ++i) last = strict->observe(5.0 + 0.01 * i);
   EXPECT_EQ(last, core::Decision::kContinue);
 }
 
 TEST(TrendDetector, ResetDropsPartialWindow) {
-  core::TrendDetector detector(10, 1.96, 0.0, kBaseline);
-  for (int i = 0; i < 5; ++i) detector.observe(1.0 * i);
-  detector.reset();
-  EXPECT_EQ(detector.pending_observations(), 0u);
+  const auto detector = build("Trend(w=10,z=1.96,s=0)");
+  for (int i = 0; i < 5; ++i) detector->observe(1.0 * i);
+  EXPECT_EQ(detector->snapshot().pending, 5u);
+  detector->reset();
+  EXPECT_EQ(detector->snapshot().pending, 0u);
+}
+
+TEST(TrendDetector, FiresOnTheFirstAgingWindowUnlikeMk) {
+  // Why Trend is its own family: MK feeds window verdicts through a
+  // cascade that overflows only at fill > 1, so even MK(L=1) needs a second
+  // aging window, while Trend fires on the first.
+  const auto trend = build("Trend(w=30,z=1.96,s=0)");
+  const auto mk = build("MK(w=30,z=1.96,s=0,L=1)");
+  std::size_t trend_first = 0;
+  std::size_t mk_first = 0;
+  for (std::size_t i = 1; i <= 90; ++i) {
+    const double value = 5.0 + 0.5 * static_cast<double>((i - 1) % 30);
+    if (trend->observe(value) == core::Decision::kRejuvenate && trend_first == 0) trend_first = i;
+    if (mk->observe(value) == core::Decision::kRejuvenate && mk_first == 0) mk_first = i;
+  }
+  EXPECT_EQ(trend_first, 30u);
+  EXPECT_EQ(mk_first, 60u);
 }
 
 // ------------------------------------------------------- stationary (Fig. 1)

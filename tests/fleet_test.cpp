@@ -2,10 +2,12 @@
 // and routing, end-to-end binary ingestion pinned against a sequentially-fed
 // bank twin, legacy text-client compatibility, bit-exact kill-and-resume
 // through the sharded checkpoint journal, size-triggered journal compaction,
-// and the TcpSource descriptor-exhaustion regression.
+// input from descriptors epoll cannot watch (regular files, /dev/null), and
+// the TcpSource descriptor-exhaustion regression.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
@@ -13,8 +15,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -509,6 +514,104 @@ TEST(FleetTest, JournalCompactionBoundsGrowthAndRestoresExactly) {
   }
 
   remove_journals(journal);
+}
+
+/// Runs `fleet` under a watchdog: if the run has not ended after 10 s it is
+/// stopped and `hung` is set, so a regression to the unreadable-input hang
+/// fails the test instead of blocking the suite.
+FleetStats run_with_deadline(FleetMonitor& fleet, bool& hung) {
+  std::mutex mutex;
+  std::condition_variable finished_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!finished_cv.wait_for(lock, std::chrono::seconds(10), [&] { return finished; })) {
+      hung = true;
+      fleet.request_stop();
+    }
+  });
+  const FleetStats stats = fleet.run();
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    finished = true;
+  }
+  finished_cv.notify_one();
+  watchdog.join();
+  return stats;
+}
+
+/// Opens `path` read-only for the engine, which takes ownership of the fd.
+int open_input(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  EXPECT_GE(fd, 0) << path;
+  return fd;
+}
+
+TEST(FleetTest, RegularFileInputMatchesPipeInput) {
+  // Regular files cannot be registered with epoll; the engine must read
+  // them to EOF anyway and end in the state a pipe feeding the same bytes
+  // produces. ~1.3 MB spans several read rounds of the ingest loop.
+  constexpr std::uint32_t kStreams = 100;
+  constexpr std::uint64_t kRounds = 1000;
+  std::vector<wire::Record> records;
+  records.reserve(kStreams * kRounds);
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::uint32_t s = 0; s < kStreams; ++s) records.push_back({s, stream_value(s, round)});
+  }
+  const std::string bytes = encode_records(records);
+  const std::string path = temp_journal("file_input");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+
+  FleetConfig config;
+  config.detector = fast_sraa();
+  config.shards = 2;
+  config.listen = false;
+
+  std::vector<std::string> want;
+  {
+    std::thread writer;
+    config.input_fds = {pipe_feeding(bytes, writer)};
+    FleetMonitor fleet(config);
+    fleet.run();
+    writer.join();
+    want = end_states(fleet);
+  }
+
+  config.input_fds = {open_input(path)};
+  FleetMonitor fleet(config);
+  bool hung = false;
+  const FleetStats stats = run_with_deadline(fleet, hung);
+  EXPECT_FALSE(hung) << "file input never reached EOF";
+  EXPECT_EQ(stats.connections_accepted, 1u);
+  EXPECT_EQ(stats.frames, records.size());
+  EXPECT_EQ(stats.processed, records.size());
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(end_states(fleet), want);
+  std::filesystem::remove(path);
+}
+
+TEST(FleetTest, EmptyFileAndDevNullInputsEndCleanly) {
+  const std::string empty = temp_journal("empty_input");
+  std::ofstream(empty).close();
+  for (const std::string& path : {empty, std::string("/dev/null")}) {
+    FleetConfig config;
+    config.detector = fast_sraa();
+    config.listen = false;
+    config.inline_processing = path == empty;  // cover both drain modes
+    config.input_fds = {open_input(path)};
+    FleetMonitor fleet(config);
+    bool hung = false;
+    const FleetStats stats = run_with_deadline(fleet, hung);
+    EXPECT_FALSE(hung) << path;
+    EXPECT_EQ(stats.connections_accepted, 1u) << path;
+    EXPECT_EQ(stats.connections_closed, 1u) << path;
+    EXPECT_EQ(stats.observations, 0u) << path;
+    EXPECT_EQ(stats.protocol_errors, 0u) << path;
+  }
+  std::filesystem::remove(empty);
 }
 
 TEST(TcpHardening, AcceptSurvivesDescriptorExhaustion) {

@@ -21,7 +21,8 @@
 #include <string>
 
 #include "cluster/cluster.h"
-#include "core/extensions.h"
+#include "core/factory.h"
+#include "core/spec.h"
 #include "harness/paper.h"
 #include "obs/sink.h"
 #include "obs/trace_reader.h"
@@ -53,13 +54,9 @@ std::string regenerate() {
   std::ostringstream trace;
   obs::JsonlSink sink(trace);
   sim::Simulator simulator;
+  const core::DetectorConfig detector = core::parse_spec("QuantileThreshold(x=10,r=1)");
   cluster::Cluster cluster(
-      simulator, config,
-      [] {
-        return std::make_unique<core::QuantileThresholdDetector>(10.0, 1,
-                                                                 core::Baseline{5.0, 5.0});
-      },
-      20060625);
+      simulator, config, [detector] { return core::make_detector(detector); }, 20060625);
   cluster.set_instrumentation(&sink, nullptr);
   cluster.run_transactions(4000);
   return trace.str();

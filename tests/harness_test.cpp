@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/experiment.h"
 #include "harness/paper.h"
 #include "harness/report.h"
@@ -78,7 +78,7 @@ TEST(RunPoint, SeedChangesResults) {
 }
 
 TEST(RunPoint, WorkloadIsSharedAcrossDetectors) {
-  // Common random numbers: with rejuvenation disabled via Algorithm::kNone
+  // Common random numbers: with rejuvenation disabled via the None family
   // and via an SRAA config that never fires (astronomical baseline), the
   // workload realization must be identical.
   const core::DetectorConfig none{"None"};
@@ -103,9 +103,8 @@ TEST(RunPoint, RejectsNonPositiveLoad) {
 // ------------------------------------------------------- custom factories
 
 TEST(RunCustomPoint, DriveExtensionDetectors) {
-  const auto factory = [] {
-    return std::make_unique<core::QuantileThresholdDetector>(15.0, 1, core::Baseline{5.0, 5.0});
-  };
+  const core::DetectorConfig config = core::parse_spec("QuantileThreshold(x=15,r=1)");
+  const auto factory = [config] { return core::make_detector(config); };
   const auto result = run_custom_point(factory, paper_system(), 8.0, tiny_protocol());
   EXPECT_EQ(result.completed + result.lost, 2u * 2000u);
   EXPECT_GT(result.rejuvenations, 0u);

@@ -124,8 +124,8 @@ TEST(Motivation, RejuvenationBoundsTheHighLoadRt) {
 // it must not *improve* the high-load RT.
 TEST(Ablation, AccelerationHelpsOrIsNeutralAtHighLoad) {
   const auto protocol = test_protocol();
-  core::DetectorConfig accelerated = saraa_config({10, 3, 1});
-  core::DetectorConfig pinned = core::DetectorSpec(accelerated).accelerate(false).config();
+  const core::DetectorConfig accelerated = saraa_config({10, 3, 1});
+  const core::DetectorConfig pinned = core::parse_spec("SARAA-noaccel(n=10,K=3,D=1)");
   const auto fast = run_point(accelerated, paper_system(), 9.0, protocol);
   const auto slow = run_point(pinned, paper_system(), 9.0, protocol);
   EXPECT_LE(fast.avg_response_time, slow.avg_response_time * 1.05);

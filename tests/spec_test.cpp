@@ -1,5 +1,5 @@
-// Tests for the detector-spec API: the fluent DetectorSpec builder, the
-// parse_spec grammar, and the round-trip property
+// Tests for the detector-spec API: the parse_spec grammar and the
+// round-trip property
 //
 //   parse_spec(describe(config)) == config
 //
@@ -44,7 +44,8 @@ TEST(SpecRoundTrip, NoneStaticAndAblationVariants) {
   config.set("K", 5).set("D", 3);
   expect_round_trip(config);
 
-  config = DetectorSpec(harness::saraa_config({2, 5, 3})).accelerate(false).config();
+  config = DetectorConfig{"SARAA-noaccel"};
+  config.set("n", 2).set("K", 5).set("D", 3);
   EXPECT_EQ(describe(config), "SARAA-noaccel(n=2,K=5,D=3)");
   expect_round_trip(config);
 }
@@ -82,29 +83,8 @@ TEST(SpecParse, RejectsBadInput) {
   EXPECT_THROW(parse_spec("SRAA(n=2,K=5,D=3) trailing"), std::invalid_argument);
   EXPECT_THROW(parse_spec("CLTA(n=30,z=-1)"), std::invalid_argument);
   EXPECT_THROW(parse_spec("SRAA(n=2,sigma=0)"), std::invalid_argument);
-}
-
-TEST(SpecBuilder, FluentChainMatchesFieldAssignment) {
-  const DetectorConfig built =
-      DetectorSpec(Algorithm::kSraa).n(2).k(5).d(3).baseline(5.0, 5.0).config();
-  EXPECT_EQ(built, harness::sraa_config({2, 5, 3}));
-  EXPECT_EQ(DetectorSpec(Algorithm::kSraa).n(2).k(5).d(3).str(), "SRAA(n=2,K=5,D=3)");
-
-  const auto detector = DetectorSpec(Algorithm::kSaraa).n(2).k(5).d(3).build();
-  ASSERT_NE(detector, nullptr);
-  EXPECT_EQ(detector->name(), "SARAA(n=2,K=5,D=3)");
-}
-
-TEST(SpecBuilder, ParseSeedsABuilder) {
-  DetectorSpec spec = DetectorSpec::parse("SRAA(n=2,K=5,D=3)");
-  spec.n(4);  // vary one knob of a parsed spec
-  EXPECT_EQ(spec.str(), "SRAA(n=4,K=5,D=3)");
-}
-
-TEST(SpecBuilder, ConfigValidates) {
-  EXPECT_THROW(DetectorSpec(Algorithm::kSraa).n(0).config(), std::invalid_argument);
-  EXPECT_THROW(DetectorSpec(Algorithm::kClta).z(0.0).config(), std::invalid_argument);
-  EXPECT_NO_THROW(DetectorSpec(Algorithm::kNone).config());
+  EXPECT_THROW(parse_spec("CLTA(n=30,z=0)"), std::invalid_argument);
+  EXPECT_NO_THROW(parse_spec("None"));
 }
 
 TEST(ObserveAll, MatchesPerObservationDecisions) {

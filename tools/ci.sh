@@ -43,8 +43,10 @@ cd "$(dirname "$0")/.."
 # The tsan stage builds separately (TSan cannot share objects with the plain
 # build) and runs the test binaries that exercise real threads: the online
 # monitor runtime, the observability registry, the work-stealing execution
-# engine (exec_test plus the parallel-sweep harness tests), and the cluster
-# suite (whose strategy x budget sweep fans out over the shared pool).
+# engine (exec_test plus the parallel-sweep harness tests), the cluster
+# suite (whose strategy x budget sweep fans out over the shared pool), and
+# the fleet engine with its wire-protocol suite (epoll ingest thread feeding
+# shard workers through SPSC queues).
 if [ "${1:-}" = "tsan" ]; then
   BUILD_DIR="${2:-build-tsan}"
   GENERATOR_ARGS=()
@@ -56,7 +58,7 @@ if [ "${1:-}" = "tsan" ]; then
   echo "==> tsan build (threaded test binaries)"
   cmake --build "$BUILD_DIR" -j --target monitor_test faults_test obs_test exec_test \
       harness_test property_test bank_differential_test bank_fuzz_test \
-      cluster_test cluster_coordinator_test cluster_chaos_test
+      cluster_test cluster_coordinator_test cluster_chaos_test fleet_test wire_test
   echo "==> tsan run"
   "$BUILD_DIR"/tests/monitor_test
   "$BUILD_DIR"/tests/faults_test
@@ -69,6 +71,8 @@ if [ "${1:-}" = "tsan" ]; then
   "$BUILD_DIR"/tests/cluster_test
   "$BUILD_DIR"/tests/cluster_coordinator_test
   "$BUILD_DIR"/tests/cluster_chaos_test
+  "$BUILD_DIR"/tests/fleet_test
+  "$BUILD_DIR"/tests/wire_test
   echo "==> ci.sh tsan: all green"
   exit 0
 fi
@@ -88,7 +92,7 @@ if [ "${1:-}" = "sweep" ]; then
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}"
   echo "==> sweep build"
   cmake --build "$BUILD_DIR" -j --target rejuv_sim_cli
-  SWEEP_ARGS=(--algorithm=saraa --loads=2,5,9 --txns=5000 --reps=3 --seed=20060625)
+  SWEEP_ARGS=('--detector=SARAA(n=2,K=5,D=3)' --loads=2,5,9 --txns=5000 --reps=3 --seed=20060625)
   echo "==> sweep run (--threads=4 vs REJUV_SEQUENTIAL=1)"
   "$BUILD_DIR"/tools/rejuv-sim "${SWEEP_ARGS[@]}" --threads=4 \
       --csv="$BUILD_DIR"/sweep_parallel.csv > /dev/null

@@ -59,6 +59,8 @@ std::string fmt_ns(double ns) { return common::format_double(ns, 2); }
 int main(int argc, char** argv) {
   try {
     const auto flags = common::Flags::parse(argc, argv);
+    flags.expect_only({"suite", "filter", "quick", "reps", "min-rep-ms", "out", "check",
+                       "max-ratio", "list"});
 
     benchlib::Registry registry;
     benchlib::register_standard_suites(registry);

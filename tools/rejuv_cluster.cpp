@@ -204,7 +204,11 @@ int run(const common::Flags& flags) {
 
 int main(int argc, char** argv) {
   try {
-    return run(common::Flags::parse(argc, argv));
+    const auto flags = common::Flags::parse(argc, argv);
+    flags.expect_only({"hosts", "strategies", "budgets", "fault-plan", "detector", "rate",
+                       "downtime", "deadline", "repair", "checkpoint-every", "oblivious", "txns",
+                       "reps", "seed", "threads", "csv", "trace", "metrics"});
+    return run(flags);
   } catch (const std::exception& error) {
     std::cerr << "rejuv-cluster: " << error.what() << "\n"
               << "see the usage comment at the top of tools/rejuv_cluster.cpp\n";

@@ -6,7 +6,7 @@
 // (whose "txn" events carry the response time), so a simulated run can be
 // replayed through the monitor unchanged:
 //
-//   rejuv-sim --algorithm=saraa --loads=9 --trace=run.jsonl
+//   rejuv-sim --detector='SARAA(n=2,K=5,D=3)' --loads=9 --trace=run.jsonl
 //   rejuv-monitor --detector='SARAA(n=2,K=5,D=3)' --source=file:run.jsonl
 //
 //   seq 1 100000 | rejuv-monitor --detector='SRAA(n=2,K=5,D=3)'
@@ -15,7 +15,8 @@
 // Each emitted rejuvenation action prints one line to stdout; the summary
 // goes to stderr. SIGINT/SIGTERM shut down cleanly (queues drain, stats are
 // final). Exit codes: 0 = clean end of stream (or budget/stop), 1 = bad
-// configuration, 2 = the run ended on an unrecoverable source I/O error.
+// configuration (including an unknown flag, or a flag the chosen engine does
+// not honor), 2 = the run ended on an unrecoverable source I/O error.
 // Flags (defaults in brackets):
 //   --detector=SPEC        detector spec, e.g. 'SRAA(n=2,K=5,D=3)',
 //                          'CLTA(n=30,z=1.96)', 'EDiv(b=10,w=30,q=10,g=5)',
@@ -71,7 +72,11 @@
 //                          clients) or stdin. Honors --shards, --queue,
 //                          --cooldown, --drop, --max-obs, --checkpoint,
 //                          --checkpoint-every, --logical-time, --inline,
-//                          --trace, --metrics, --quiet
+//                          --trace, --metrics, --quiet; the classic-only
+//                          flags above (--watchdog-ms, --fault-plan, --retry
+//                          and friends, --hysteresis, --calibrate, --bank,
+//                          --no-resume-replay) are rejected. stdin may be a
+//                          pipe, a regular file or /dev/null
 //   --wire=MODE            auto | binary | text: the wire protocol accepted
 //                          on every connection. auto sniffs the first byte
 //                          (0xF5 = binary framing, else legacy text) [auto]
@@ -85,6 +90,8 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <span>
+#include <stdexcept>
 
 #include "common/expect.h"
 #include "common/flags.h"
@@ -135,10 +142,25 @@ void parse_backoff(const std::string& text, monitor::BackoffPolicy& policy) {
   }
 }
 
+// Flags only one engine honors. Passing one to the other engine is an error,
+// not a silent no-op (e.g. a fault plan that would never inject anything).
+constexpr const char* kClassicOnlyFlags[] = {
+    "watchdog-ms", "fault-plan", "retry",     "backoff-ms", "backoff-seed",
+    "retry-on-eof", "hysteresis", "calibrate", "bank",      "no-resume-replay"};
+constexpr const char* kFleetOnlyFlags[] = {"wire", "max-streams", "serve"};
+
+void reject_flags(const common::Flags& flags, std::span<const char* const> names,
+                  const std::string& why) {
+  for (const char* name : names) {
+    if (flags.has(name)) throw std::invalid_argument(std::string("--") + name + " " + why);
+  }
+}
+
 /// --fleet: the epoll + SoA-bank ingestion engine (one process, 100k+
 /// concurrent streams). Shares the spec/trace/metrics flags with the classic
 /// engine; the source is either the loopback listener or stdin.
 int run_fleet(const common::Flags& flags) {
+  reject_flags(flags, kClassicOnlyFlags, "is not supported with --fleet");
   monitor::FleetConfig config;
   config.detector = core::parse_spec(flags.get("detector").value_or("SRAA(n=2,K=5,D=3)"));
   config.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
@@ -229,6 +251,12 @@ int run_fleet(const common::Flags& flags) {
 int main(int argc, char** argv) {
   try {
     const auto flags = common::Flags::parse(argc, argv);
+    flags.expect_only({"detector", "list-detectors", "source", "shards", "queue", "cooldown",
+                       "drop", "max-obs", "checkpoint", "checkpoint-every", "logical-time",
+                       "inline", "trace", "metrics", "quiet", "fleet", "watchdog-ms",
+                       "fault-plan", "retry", "backoff-ms", "backoff-seed", "retry-on-eof",
+                       "hysteresis", "calibrate", "bank", "no-resume-replay", "wire",
+                       "max-streams", "serve"});
 
     if (flags.has("list-detectors")) {
       // Schema-driven listing: everything here comes from the registry, so a
@@ -249,6 +277,7 @@ int main(int argc, char** argv) {
     }
 
     if (flags.has("fleet")) return run_fleet(flags);
+    reject_flags(flags, kFleetOnlyFlags, "needs --fleet");
 
     monitor::MonitorConfig config;
     config.detector =

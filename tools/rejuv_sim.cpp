@@ -6,25 +6,20 @@
 // can be re-run (and varied) without writing code.
 //
 // Usage examples:
-//   rejuv_sim --algorithm=saraa --n=2 --k=5 --d=3
-//   rejuv_sim --algorithm=clta --n=30 --z=1.96 --loads=0.5,9 --txns=100000 --reps=5
-//   rejuv_sim --algorithm=sraa --n=15 --k=1 --d=1 --arrival=mmpp --burst-rate=3.6
-//   rejuv_sim --algorithm=none --no-gc           # pure M/M/16 baseline
+//   rejuv_sim --detector='SARAA(n=2,K=5,D=3)'
+//   rejuv_sim --detector='CLTA(n=30,z=1.96)' --loads=0.5,9 --txns=100000 --reps=5
+//   rejuv_sim --detector='SRAA(n=15,K=1,D=1)' --arrival=mmpp --burst-rate=3.6
+//   rejuv_sim --detector='BobbioRisk(c=20,w=40,seed=17)'
+//   rejuv_sim --detector=None --no-gc            # pure M/M/16 baseline
 //
 // Flags (defaults in brackets):
-//   --detector=SPEC        full detector spec string, e.g. 'SRAA(n=2,K=5,D=3)',
-//                          'CLTA(n=30,z=1.96)' or 'EDiv(b=10,w=30,q=10,g=5)';
-//                          overrides --algorithm and the parameter flags below
-//                          (composes with --calibrate). Same grammar as
+//   --detector=SPEC        detector spec string, e.g. 'SRAA(n=2,K=5,D=3)',
+//                          'CLTA(n=30,z=1.96)', 'EDiv(b=10,w=30,q=10,g=5)' or
+//                          'QuantileThreshold(x=15,r=1)'; optional mu=/sigma=
+//                          keys set the baseline. Same grammar as
 //                          rejuv-monitor; any family in the detector registry
-//                          is accepted (rejuv-monitor --list-detectors).
-//   --algorithm=NAME       registry family name, case-insensitive [saraa], or
-//                          one of the extension policies quantile|trend|
-//                          bobbio-det|bobbio-risk
-//   --n, --k, --d          algorithm parameters [2, 5, 3]
-//   --z                    CLTA quantile / trend z_alpha [1.96]
-//   --threshold            quantile/bobbio threshold value [15]
-//   --mu-x, --sigma-x      baseline [5, 5]
+//                          is accepted (rejuv-monitor --list-detectors)
+//                          [SARAA(n=2,K=5,D=3)]
 //   --calibrate=N          estimate the baseline from the first N healthy
 //                          observations instead (adaptive mode) [off]
 //   --loads=...            offered loads in CPUs [paper grid]
@@ -46,6 +41,8 @@
 //                          extension selects CSV). Forces sequential points.
 //                          Analyze with rejuv_trace.
 //   --metrics              dump the metrics registry to stderr at the end
+//
+// Unknown flags are rejected (exit 1), like bad values.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -54,7 +51,6 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "core/controller.h"
-#include "core/extensions.h"
 #include "core/factory.h"
 #include "core/spec.h"
 #include "exec/pool.h"
@@ -69,69 +65,12 @@ namespace {
 
 using namespace rejuv;
 
-core::Baseline parse_baseline(const common::Flags& flags) {
-  return {flags.get_double("mu-x", 5.0), flags.get_double("sigma-x", 5.0)};
-}
-
 harness::DetectorFactory parse_detector(const common::Flags& flags, std::string& label) {
-  const auto calibrate_spec = flags.get_int("calibrate", 0);
-  if (const auto spec = flags.get("detector")) {
-    // Spec strings round-trip through core::parse_spec/describe, so the label
-    // is always the canonical form regardless of how the user spelled it.
-    const core::DetectorConfig config = core::parse_spec(*spec);
-    if (calibrate_spec > 0 && !config.is_null()) {
-      label = "Calibrating[" + core::describe(config) + "]";
-      return [config, calibrate_spec] {
-        return std::make_unique<core::CalibratingDetector>(
-            config, static_cast<std::uint64_t>(calibrate_spec));
-      };
-    }
-    label = core::describe(config);
-    return [config] { return core::make_detector(config); };
-  }
-
-  const std::string algorithm = flags.get("algorithm").value_or("saraa");
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 2));
-  const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
-  const int d = static_cast<int>(flags.get_int("d", 3));
-  const double z = flags.get_double("z", 1.96);
-  const double threshold = flags.get_double("threshold", 15.0);
-  const core::Baseline baseline = parse_baseline(flags);
+  // Spec strings round-trip through core::parse_spec/describe, so the label
+  // is always the canonical form regardless of how the user spelled it.
+  const core::DetectorConfig config =
+      core::parse_spec(flags.get("detector").value_or("SARAA(n=2,K=5,D=3)"));
   const auto calibrate = flags.get_int("calibrate", 0);
-
-  if (algorithm == "quantile") {
-    label = "QuantileThreshold(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::QuantileThresholdDetector>(threshold, 1, baseline);
-    };
-  } else if (algorithm == "trend") {
-    label = "Trend(w=" + std::to_string(n) + ",z=" + common::format_double(z, 2) + ")";
-    return [n, z, baseline] {
-      return std::make_unique<core::TrendDetector>(n, z, 0.0, baseline);
-    };
-  } else if (algorithm == "bobbio-det") {
-    label = "Bobbio-deterministic(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::DeterministicThresholdPolicy>(threshold, baseline);
-    };
-  } else if (algorithm == "bobbio-risk") {
-    label = "Bobbio-risk(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::RiskBasedPolicy>(threshold, 3.0 * threshold, baseline, 17);
-    };
-  }
-
-  // Any registered family works here (case-insensitive): the legacy
-  // --n/--k/--d/--z flags map onto the keys the family actually has, and
-  // families with other knobs (Adaptive, EDiv, Entropy, MK, ...) run on
-  // their schema defaults — use --detector=SPEC to set those.
-  core::DetectorConfig config{algorithm};
-  if (config.has("n")) config.set("n", static_cast<double>(n));
-  if (config.has("K")) config.set("K", static_cast<double>(k));
-  if (config.has("D")) config.set("D", static_cast<double>(d));
-  if (config.has("z")) config.set("z", z);
-  config.baseline = baseline;
-
   if (calibrate > 0 && !config.is_null()) {
     label = "Calibrating[" + core::describe(config) + "]";
     return [config, calibrate] {
@@ -161,6 +100,10 @@ bool ends_with(const std::string& text, const std::string& suffix) {
 int main(int argc, char** argv) {
   try {
     const auto flags = common::Flags::parse(argc, argv);
+    flags.expect_only({"detector", "calibrate", "loads", "txns", "reps", "seed", "threads", "csv",
+                       "downtime", "no-gc", "no-overhead", "arrival", "burst-rate",
+                       "burst-duration", "normal-duration", "amplitude", "period", "trace",
+                       "metrics"});
 
     harness::SimulationProtocol protocol = harness::SimulationProtocol::from_environment();
     protocol.transactions_per_replication = static_cast<std::uint64_t>(flags.get_int(

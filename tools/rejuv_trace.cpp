@@ -401,6 +401,7 @@ int main(int argc, char** argv) {
     }
     const auto flags =
         rejuv::common::Flags::parse(static_cast<int>(flag_argv.size()), flag_argv.data());
+    flags.expect_only({"quiet", "max-timeline"});
     REJUV_EXPECT(!path.empty(), "usage: rejuv_trace FILE [--quiet] [--max-timeline=N]");
     REJUV_EXPECT(path.size() < 4 || path.substr(path.size() - 4) != ".csv",
                  "rejuv_trace reads JSONL traces; re-run rejuv_sim with a non-.csv --trace file");
