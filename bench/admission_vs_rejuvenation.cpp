@@ -12,7 +12,7 @@
 // plus the loss decomposition (rejected vs flushed).
 #include <iostream>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/controller.h"
@@ -61,7 +61,7 @@ Row run(double load_cpus, std::size_t admission_limit, bool with_detector,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "seed", "limit"});
   const auto transactions = static_cast<std::uint64_t>(flags.get_int("txns", 50000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 20060625));
   // Cap the thread count right at the kernel-overhead threshold.

@@ -16,7 +16,7 @@
 #include <iostream>
 #include <memory>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/table.h"
 #include "core/controller.h"
 #include "harness/paper.h"
@@ -71,7 +71,7 @@ Outcome run(const core::DetectorConfig& detector_config, Scenario scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "seed"});
   const auto transactions = static_cast<std::uint64_t>(flags.get_int("txns", 40000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 20060625));
 

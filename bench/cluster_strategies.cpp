@@ -13,9 +13,9 @@
 #include <iostream>
 #include <memory>
 
+#include "bench_flags.h"
 #include "cluster/cluster.h"
 #include "cluster/sweep.h"
-#include "common/flags.h"
 #include "common/table.h"
 #include "harness/paper.h"
 
@@ -43,7 +43,7 @@ Row run(cluster::ClusterConfig config, const cluster::DetectorFactory& factory,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "seed"});
   const auto transactions = static_cast<std::uint64_t>(flags.get_int("txns", 40000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 20060625));
   constexpr std::size_t kHosts = 4;

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/table.h"
 #include "exec/pool.h"
 #include "harness/experiment.h"
@@ -32,7 +32,7 @@ struct FigureOptions {
 };
 
 inline FigureOptions parse_figure_options(int argc, const char* const* argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "reps", "seed", "loads", "threads"});
   FigureOptions options;
   options.protocol = harness::SimulationProtocol::from_environment();
   options.protocol.transactions_per_replication = static_cast<std::uint64_t>(flags.get_int(

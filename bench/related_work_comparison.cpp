@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/factory.h"
@@ -189,7 +189,7 @@ void print_detection_scorecard(std::ostream& out) {
 
 int main(int argc, char** argv) {
   using namespace rejuv;
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "loads"});
   auto protocol = harness::SimulationProtocol::from_environment();
   protocol.transactions_per_replication = static_cast<std::uint64_t>(
       flags.get_int("txns", static_cast<std::int64_t>(protocol.transactions_per_replication)));

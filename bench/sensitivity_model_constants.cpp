@@ -11,7 +11,7 @@
 //     artifact; holding across the grid shows it is structural).
 #include <iostream>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/controller.h"
@@ -38,7 +38,7 @@ double run_rt(const core::DetectorConfig& detector, const model::EcommerceConfig
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "seed"});
   const auto transactions = static_cast<std::uint64_t>(flags.get_int("txns", 50000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 20060625));
 

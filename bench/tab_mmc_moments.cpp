@@ -9,13 +9,13 @@
 #include <cmath>
 #include <iostream>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/table.h"
 #include "queueing/mmc.h"
 
 int main(int argc, char** argv) {
   using namespace rejuv;
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"mu", "servers"});
   const double mu = flags.get_double("mu", 0.2);
   const auto servers = static_cast<std::size_t>(flags.get_int("servers", 16));
 

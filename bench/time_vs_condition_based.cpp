@@ -15,8 +15,8 @@
 // without needing the interval tuned.
 #include <iostream>
 
+#include "bench_flags.h"
 #include "availability/huang_model.h"
-#include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/controller.h"
@@ -66,7 +66,7 @@ SimRow run_condition_based(double load_cpus, std::uint64_t transactions, std::ui
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns", "seed"});
   const auto transactions = static_cast<std::uint64_t>(flags.get_int("txns", 100000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 20060625));
 

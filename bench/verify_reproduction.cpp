@@ -9,7 +9,7 @@
 #include <iostream>
 #include <vector>
 
-#include "common/flags.h"
+#include "bench_flags.h"
 #include "common/table.h"
 #include "harness/experiment.h"
 #include "harness/paper.h"
@@ -38,7 +38,7 @@ std::string rt_pair(double a, double b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = bench::parse_flags(argc, argv, {"txns"});
   harness::SimulationProtocol protocol = harness::SimulationProtocol::from_environment();
   protocol.transactions_per_replication = static_cast<std::uint64_t>(flags.get_int(
       "txns", static_cast<std::int64_t>(protocol.transactions_per_replication)));

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -234,6 +235,49 @@ void register_bank_suite(Registry& registry) {
                    do_not_optimize(triggers);
                  });
   }
+
+  // The fleet worker's shape: 50,000 SRAA lanes fed interleaved batches of
+  // 1,600 ids, each a slice of one seeded permutation of the lanes, so a
+  // batch touches ~3% of the bank and no lane twice (perfbench `fleet-wide`
+  // drains batches like these). Measures observe_lanes when the batch is
+  // far smaller than the bank.
+  constexpr std::size_t kSparseLanes = 50'000;
+  constexpr std::size_t kSparseBatch = 1'600;
+  const core::DetectorConfig sparse_config = core::parse_spec("SRAA(n=2,K=5,D=3,mu=5,sigma=5)");
+  auto sparse_bank = std::make_shared<core::DetectorBank>(sparse_config.family());
+  for (std::size_t lane = 0; lane < kSparseLanes; ++lane) sparse_bank->add_lane(sparse_config);
+  sparse_bank->reserve_triggers(kSparseBatch);
+  auto sparse_ids = std::make_shared<std::vector<std::uint32_t>>(kSparseLanes);
+  auto sparse_values = std::make_shared<std::vector<double>>(kSparseLanes);
+  {
+    common::RngStream rng(0xBA'2BEA7, 2);
+    for (std::size_t i = 0; i < kSparseLanes; ++i) {
+      (*sparse_ids)[i] = static_cast<std::uint32_t>(i);
+      (*sparse_values)[i] = (*data)[i & kDataMask];
+    }
+    for (std::size_t i = kSparseLanes - 1; i > 0; --i) {  // Fisher-Yates
+      std::swap((*sparse_ids)[i], (*sparse_ids)[rng() % (i + 1)]);
+    }
+  }
+  auto sparse_cursor = std::make_shared<std::size_t>(0);
+  registry.add("bank", "bank.sraa.lanes_sparse_50k",
+               [sparse_bank, sparse_ids, sparse_values, sparse_cursor](std::uint64_t n) {
+                 std::uint64_t triggers = 0;
+                 std::uint64_t done = 0;
+                 while (done < n) {
+                   const std::size_t at = *sparse_cursor;
+                   const std::size_t count = static_cast<std::size_t>(
+                       std::min<std::uint64_t>({kSparseBatch, kSparseLanes - at, n - done}));
+                   sparse_bank->observe_lanes(
+                       std::span<const std::uint32_t>(sparse_ids->data() + at, count),
+                       std::span<const double>(sparse_values->data() + at, count));
+                   triggers += sparse_bank->triggers().size();
+                   sparse_bank->clear_triggers();
+                   *sparse_cursor = (at + count) % kSparseLanes;
+                   done += count;
+                 }
+                 do_not_optimize(triggers);
+               });
 }
 
 void register_sim_suite(Registry& registry) {

@@ -228,6 +228,13 @@ Decision DetectorBank::observe(std::size_t lane, double value, obs::Tracer* trac
   return step(lane, value, tracer);
 }
 
+void DetectorBank::step_recorded(std::size_t lane, double value) {
+  ++observations_[lane];
+  if (step(lane, value, nullptr) == Decision::kRejuvenate) {
+    triggers_.push_back({lane, observations_[lane]});
+  }
+}
+
 Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer) {
   if (family_ == Family::kStatic) {
     const auto bucket_before = static_cast<std::int32_t>(bucket_[lane]);
@@ -462,12 +469,7 @@ void DetectorBank::complete_shift_window(std::size_t lane) {
 
 void DetectorBank::observe_lane(std::size_t lane, std::span<const double> values) {
   check_lane(lane);
-  for (const double value : values) {
-    ++observations_[lane];
-    if (step(lane, value, nullptr) == Decision::kRejuvenate) {
-      triggers_.push_back({lane, observations_[lane]});
-    }
-  }
+  for (const double value : values) step_recorded(lane, value);
 }
 
 void DetectorBank::observe_rows(std::span<const double> values) {
@@ -611,14 +613,23 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
   if (values.empty()) return;
   const std::size_t lane_count = lanes();
   REJUV_EXPECT(lane_count > 0, "observe_lanes on an empty bank");
+  for (const std::uint32_t id : lane_ids) {
+    REJUV_EXPECT(id < lane_count, "observe_lanes lane id out of range");
+  }
+
+  // Sparse batch: some lane gets no value, so the rectangular prefix below
+  // would be empty and every value would take the per-lane scalar step
+  // anyway. Step them in arrival order instead of paying O(lanes) passes;
+  // each lane still sees its own values in order.
+  if (values.size() < lane_count) {
+    for (std::size_t i = 0; i < values.size(); ++i) step_recorded(lane_ids[i], values[i]);
+    return;
+  }
 
   // Gather the interleaved input into per-lane columns (stable, so each
   // lane sees its own observations in arrival order).
   std::fill(lane_fill_.begin(), lane_fill_.end(), std::uint64_t{0});
-  for (const std::uint32_t id : lane_ids) {
-    REJUV_EXPECT(id < lane_count, "observe_lanes lane id out of range");
-    ++lane_fill_[id];
-  }
+  for (const std::uint32_t id : lane_ids) ++lane_fill_[id];
   std::size_t offset = 0;
   std::uint64_t rect = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t l = 0; l < lane_count; ++l) {
@@ -646,10 +657,7 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
   for (std::size_t l = 0; l < lane_count; ++l) {
     const auto total = static_cast<std::size_t>(lane_fill_[l]);
     for (std::size_t k = static_cast<std::size_t>(rect); k < total; ++k) {
-      ++observations_[l];
-      if (step(l, columns_[lane_offset_[l] + k], nullptr) == Decision::kRejuvenate) {
-        triggers_.push_back({l, observations_[l]});
-      }
+      step_recorded(l, columns_[lane_offset_[l] + k]);
     }
   }
 }

@@ -103,9 +103,12 @@ class DetectorBank {
   /// Scatter/gather entry point for interleaved multi-stream input:
   /// values[i] is an observation for lane_ids[i]. Per-lane observation
   /// order is preserved (that is all bit-identity needs — lanes are
-  /// independent); the rectangular prefix every lane shares is advanced
-  /// through the row kernel, the ragged remainder per lane. Triggers are
-  /// recorded in triggers(), grouped by lane.
+  /// independent). Cost: O(batch) when the batch is smaller than lanes() —
+  /// some lane then gets no value, so every value takes the per-lane step
+  /// in arrival order; O(lanes + batch) otherwise, where the rectangular
+  /// prefix every lane shares goes through the row kernel and the ragged
+  /// remainder per lane. Triggers are recorded in triggers(). An
+  /// out-of-range id throws before any lane advances.
   void observe_lanes(std::span<const std::uint32_t> lane_ids, std::span<const double> values);
 
   /// Triggers recorded by the batch paths since the last clear_triggers(),
@@ -141,6 +144,8 @@ class DetectorBank {
   enum class Transition { kNone, kEscalated, kDeescalated, kTriggered };
 
   Decision step(std::size_t lane, double value, obs::Tracer* tracer);
+  /// Untraced batch step: counts the observation and records a trigger.
+  void step_recorded(std::size_t lane, double value);
   Decision sraa_step(std::size_t lane, double value, obs::Tracer* tracer);
   Transition cascade_step(std::size_t lane, bool exceeded);
   void adaptive_post_row(const double* row, std::uint32_t any);

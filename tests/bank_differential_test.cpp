@@ -12,16 +12,21 @@
 //   * mid-stream checkpoint split-resume: save_state at an arbitrary cut,
 //     restore into a fresh bank, byte-compare the serialized monitor
 //     checkpoint line and the downstream decisions;
-//   * scatter/gather observe_lanes with uneven per-lane batch sizes;
+//   * scatter/gather observe_lanes with uneven per-lane batch sizes, and
+//     sparse batches (4,096 lanes, 1..lanes-1 values per batch) against
+//     both the scalar twins and the dense row-kernel path, bare and under
+//     BankController with and without cooldown;
 //   * traced per-value runs whose JSONL event streams must match the scalar
 //     detector's byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -301,6 +306,153 @@ TEST_P(BankDifferential, ScatterGatherObserveLanesMatchesScalar) {
       EXPECT_EQ(triggers_by_lane(bank)[lane], scalar_triggers[lane]) << context;
       expect_state_eq(bank.save_state(lane), scalars[lane]->save_state(), context);
       expect_snapshot_eq(bank.snapshot(lane), scalars[lane]->snapshot(), context);
+    }
+  }
+}
+
+/// A fleet-shaped feed: many lanes, each with its own stream, interleaved
+/// in a seeded random order and cut into batches smaller than the bank.
+struct SparseFeed {
+  std::vector<core::DetectorConfig> configs;   ///< one per lane
+  std::vector<std::vector<double>> streams;    ///< one per lane
+  std::vector<std::uint32_t> ids;              ///< every lane's values, interleaved
+  std::vector<double> values;
+  std::vector<std::size_t> batch_ends;         ///< each batch holds 1..lanes-1 values
+};
+
+constexpr std::size_t kSparseLanes = 4096;
+
+SparseFeed build_sparse_feed(const char* family) {
+  SparseFeed feed;
+  common::RngStream rng(kRootSeed, 0x5BA25E);
+  for (std::size_t lane = 0; lane < kSparseLanes; ++lane) {
+    feed.configs.push_back(random_config(family, rng));
+    // Uneven per-lane lengths, so a dense pass also has a ragged remainder.
+    feed.streams.push_back(make_stream(StreamKind::kBursty, rng, 48 + lane % 17));
+  }
+  std::vector<std::uint32_t> tickets;
+  for (std::size_t lane = 0; lane < kSparseLanes; ++lane) {
+    tickets.insert(tickets.end(), feed.streams[lane].size(), static_cast<std::uint32_t>(lane));
+  }
+  for (std::size_t i = tickets.size() - 1; i > 0; --i) {  // Fisher-Yates
+    std::swap(tickets[i], tickets[rng() % (i + 1)]);
+  }
+  std::vector<std::size_t> next(kSparseLanes, 0);
+  for (const std::uint32_t lane : tickets) {
+    feed.ids.push_back(lane);
+    feed.values.push_back(feed.streams[lane][next[lane]++]);
+  }
+  // Batch sizes cycle through both extremes and random sizes in between;
+  // interleaved ids repeat inside most batches.
+  const std::size_t fixed_sizes[] = {1, kSparseLanes - 1, 2};
+  for (std::size_t at = 0, k = 0; at < feed.values.size(); ++k) {
+    const std::size_t size = k % 5 < std::size(fixed_sizes) ? fixed_sizes[k % 5]
+                                                            : 1 + rng() % (kSparseLanes - 1);
+    at = std::min(at + size, feed.values.size());
+    feed.batch_ends.push_back(at);
+  }
+  return feed;
+}
+
+TEST_P(BankDifferential, SparseObserveLanesMatchesScalarAndDensePath) {
+  // lanes >> batch: every batch leaves lanes without a value and takes the
+  // per-value sparse path. Each lane must end bit-identical to its scalar
+  // twin and to a bank fed the same data in one dense batch (row kernel
+  // plus ragged remainder).
+  const SparseFeed feed = build_sparse_feed(GetParam());
+  core::DetectorBank sparse(GetParam());
+  core::DetectorBank dense(GetParam());
+  std::vector<std::unique_ptr<core::Detector>> scalars;
+  for (const core::DetectorConfig& config : feed.configs) {
+    sparse.add_lane(config);
+    dense.add_lane(config);
+    scalars.push_back(core::make_detector(config));
+  }
+  const std::span<const std::uint32_t> ids = feed.ids;
+  const std::span<const double> values = feed.values;
+  std::size_t begin = 0;
+  for (const std::size_t end : feed.batch_ends) {
+    ASSERT_LT(end - begin, sparse.lanes());
+    sparse.observe_lanes(ids.subspan(begin, end - begin), values.subspan(begin, end - begin));
+    begin = end;
+  }
+  ASSERT_GE(values.size(), dense.lanes());
+  dense.observe_lanes(ids, values);
+
+  const auto sparse_triggers = triggers_by_lane(sparse);
+  const auto dense_triggers = triggers_by_lane(dense);
+  std::size_t total_triggers = 0;
+  for (std::size_t lane = 0; lane < kSparseLanes; ++lane) {
+    std::vector<std::uint64_t> expected;
+    for (std::size_t i = 0; i < feed.streams[lane].size(); ++i) {
+      if (scalars[lane]->observe(feed.streams[lane][i]) == core::Decision::kRejuvenate) {
+        expected.push_back(i + 1);
+      }
+    }
+    total_triggers += expected.size();
+    const std::string context = std::string(GetParam()) + " lane " + std::to_string(lane) +
+                                " spec " + scalars[lane]->name();
+    EXPECT_EQ(sparse_triggers[lane], expected) << context;
+    EXPECT_EQ(dense_triggers[lane], expected) << context;
+    EXPECT_EQ(sparse.observations(lane), feed.streams[lane].size()) << context;
+    EXPECT_EQ(dense.observations(lane), feed.streams[lane].size()) << context;
+    const core::DetectorState state = scalars[lane]->save_state();
+    expect_state_eq(sparse.save_state(lane), state, "sparse " + context);
+    expect_state_eq(dense.save_state(lane), state, "dense " + context);
+    if (::testing::Test::HasFailure()) break;  // one lane's report is enough
+  }
+  EXPECT_GT(total_triggers, 0u) << "the streams must exercise trigger recording";
+}
+
+TEST_P(BankDifferential, SparseBatchWithBadIdAdvancesNoLane) {
+  common::RngStream rng(kRootSeed, 0xBAD1D);
+  core::DetectorBank bank(GetParam());
+  for (std::size_t lane = 0; lane < 8; ++lane) bank.add_lane(random_config(GetParam(), rng));
+  const std::vector<std::uint32_t> ids{1, 2, 8};
+  const std::vector<double> values{50.0, 50.0, 50.0};
+  EXPECT_THROW(bank.observe_lanes(ids, values), std::invalid_argument);
+  EXPECT_EQ(bank.observations(1), 0u);
+  EXPECT_EQ(bank.observations(2), 0u);
+}
+
+TEST_P(BankDifferential, SparseBankControllerMatchesScalarControllers) {
+  // The same sparse feed through BankController::observe_lanes, with and
+  // without cooldown: trigger indices, observation counters and controller
+  // state equal one RejuvenationController per lane.
+  const SparseFeed feed = build_sparse_feed(GetParam());
+  for (const std::uint64_t cooldown : {std::uint64_t{0}, std::uint64_t{7}}) {
+    core::BankController bank(GetParam(), cooldown);
+    std::vector<core::RejuvenationController> scalars;
+    scalars.reserve(kSparseLanes);
+    for (const core::DetectorConfig& config : feed.configs) {
+      bank.add_lane(config);
+      scalars.emplace_back(core::make_detector(config), cooldown);
+    }
+    const std::span<const std::uint32_t> ids = feed.ids;
+    const std::span<const double> values = feed.values;
+    std::size_t begin = 0;
+    std::size_t bank_count = 0;
+    std::size_t scalar_count = 0;
+    for (const std::size_t end : feed.batch_ends) {
+      bank_count +=
+          bank.observe_lanes(ids.subspan(begin, end - begin), values.subspan(begin, end - begin));
+      for (std::size_t i = begin; i < end; ++i) {
+        if (scalars[ids[i]].observe(values[i])) ++scalar_count;
+      }
+      begin = end;
+    }
+    EXPECT_EQ(bank_count, scalar_count) << GetParam() << " cooldown " << cooldown;
+    EXPECT_GT(scalar_count, 0u) << GetParam() << " cooldown " << cooldown;
+    for (std::size_t lane = 0; lane < kSparseLanes; ++lane) {
+      const std::string context = std::string(GetParam()) + " cooldown " +
+                                  std::to_string(cooldown) + " lane " + std::to_string(lane);
+      EXPECT_EQ(bank.trigger_indices(lane), scalars[lane].trigger_indices()) << context;
+      EXPECT_EQ(bank.observations(lane), scalars[lane].observations()) << context;
+      const core::ControllerState bank_state = bank.save_state(lane);
+      const core::ControllerState scalar_state = scalars[lane].save_state();
+      EXPECT_EQ(bank_state.cooldown_remaining, scalar_state.cooldown_remaining) << context;
+      expect_state_eq(bank_state.detector, scalar_state.detector, context);
+      if (::testing::Test::HasFailure()) break;
     }
   }
 }

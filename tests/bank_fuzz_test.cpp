@@ -6,14 +6,11 @@
 // serialized states must match bit for bit. Degenerate shapes (empty bank,
 // single lane, empty batches) are part of the operation mix, and a separate
 // suite asserts the steady-state batch paths never touch the heap (this
-// binary replaces the global allocator with a counting one, so it stays its
-// own executable like obs_overhead_test).
+// binary links the counting global allocator, counting_allocator.cpp, so it
+// stays its own executable like obs_overhead_test).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,31 +21,12 @@
 #include "core/detector.h"
 #include "core/factory.h"
 #include "core/registry.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_allocator.h"
 
 namespace {
 
 using namespace rejuv;
+using rejuv::test::allocations;
 
 constexpr std::uint64_t kRootSeed = 0xF0220'BA2ULL;
 constexpr int kFuzzCases = 500;
@@ -269,6 +247,12 @@ TEST(BankFuzz, SteadyStateBatchPathsAllocateNothing) {
       ids[i] = static_cast<std::uint32_t>(pick(rng, bank.lanes()));
       values[i] = random_value(rng);
     }
+    // A sparse batch (fewer values than lanes, a repeated id) takes the
+    // per-value path the dense 256-id batch above never reaches.
+    const std::vector<std::uint32_t> sparse_ids{3, 6, 3, 0, 6};
+    std::vector<double> sparse_values(sparse_ids.size());
+    for (double& v : sparse_values) v = random_value(rng);
+    ASSERT_LT(sparse_ids.size(), bank.lanes());
     // Warm-up: grow the trigger log and the scatter/gather scratch to
     // working size, then demand allocation-free steady state.
     bank.reserve_triggers(4096);
@@ -281,6 +265,7 @@ TEST(BankFuzz, SteadyStateBatchPathsAllocateNothing) {
       bank.observe_rows(rows);
       bank.observe_lane(0, std::span(rows).subspan(0, 64));
       bank.observe_lanes(ids, values);
+      bank.observe_lanes(sparse_ids, sparse_values);
       bank.clear_triggers();
     }
     EXPECT_EQ(allocations(), before)

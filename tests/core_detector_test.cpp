@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -112,6 +114,12 @@ struct CascadeParams {
   std::size_t buckets;
 };
 
+// gtest would otherwise print the struct's raw bytes, padding included, into
+// the discovered ctest names, which then change from build to build.
+void PrintTo(const CascadeParams& params, std::ostream* out) {
+  *out << "{depth=" << params.depth << ", buckets=" << params.buckets << "}";
+}
+
 class CascadeInvariants : public ::testing::TestWithParam<CascadeParams> {};
 
 TEST_P(CascadeInvariants, StateStaysInRangeUnderRandomInput) {
@@ -129,7 +137,11 @@ TEST_P(CascadeInvariants, StateStaysInRangeUnderRandomInput) {
 INSTANTIATE_TEST_SUITE_P(ParameterGrid, CascadeInvariants,
                          ::testing::Values(CascadeParams{1, 1}, CascadeParams{1, 5},
                                            CascadeParams{3, 2}, CascadeParams{5, 3},
-                                           CascadeParams{10, 1}, CascadeParams{2, 10}));
+                                           CascadeParams{10, 1}, CascadeParams{2, 10}),
+                         [](const ::testing::TestParamInfo<CascadeParams>& param_info) {
+                           return "d" + std::to_string(param_info.param.depth) + "_k" +
+                                  std::to_string(param_info.param.buckets);
+                         });
 
 // ------------------------------------------------------- StaticRejuvenation
 

@@ -5,14 +5,12 @@
 // constructed — the monitor drains millions of observations per second
 // through them.
 //
-// This test replaces the global allocator with a counting one, so it lives
-// in its own binary (the counter would otherwise tax every other test).
+// This test links the counting global allocator (counting_allocator.cpp),
+// so it lives in its own binary (the counter would otherwise tax every
+// other test).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <vector>
 
@@ -23,6 +21,7 @@
 #include "core/saraa.h"
 #include "core/sraa.h"
 #include "core/static_rejuvenation.h"
+#include "counting_allocator.h"
 #include "model/ecommerce.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
@@ -30,28 +29,8 @@
 
 namespace {
 
-std::atomic<std::uint64_t> g_allocations{0};
-
-std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
-
 using namespace rejuv;
+using rejuv::test::allocations;
 
 TEST(TracerOverheadTest, DisabledEmittersAllocateNothing) {
   obs::Tracer tracer;  // no sink
