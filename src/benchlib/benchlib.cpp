@@ -19,11 +19,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Seconds spent in untimed() during the current time_once call.
+thread_local double g_untimed_seconds = 0.0;
+
 double time_once(const std::function<void(std::uint64_t)>& run, std::uint64_t iterations) {
+  g_untimed_seconds = 0.0;
   const auto start = Clock::now();
   run(iterations);
   const auto stop = Clock::now();
-  return std::chrono::duration<double>(stop - start).count();
+  return std::chrono::duration<double>(stop - start).count() - g_untimed_seconds;
 }
 
 /// Shortest round-trip double formatting (same policy as the checkpoint
@@ -92,6 +96,12 @@ std::vector<std::string> Registry::suites() const {
     }
   }
   return names;
+}
+
+void untimed(const std::function<void()>& setup) {
+  const auto start = Clock::now();
+  setup();
+  g_untimed_seconds += std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 BenchResult run_benchmark(const Benchmark& benchmark, const BenchOptions& options) {

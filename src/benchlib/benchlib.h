@@ -18,7 +18,7 @@
 // A benchmark is a callable `void(std::uint64_t iterations)` that performs
 // exactly `iterations` operations; the harness owns calibration and timing.
 // Fixture state lives in the closure, so setup cost is paid once, outside
-// the timed region.
+// the timed region; per-operation setup goes through untimed().
 #pragma once
 
 #include <cstdint>
@@ -42,6 +42,11 @@ inline void do_not_optimize(T const& value) {
   (void)sink;
 #endif
 }
+
+/// Runs `setup` inside a benchmark body without counting its time: for
+/// per-operation setup that cannot be hoisted into the fixture, such as
+/// refilling a journal before each timed compaction.
+void untimed(const std::function<void()>& setup);
 
 /// Timing protocol for one run of a suite.
 struct BenchOptions {

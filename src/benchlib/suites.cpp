@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/expect.h"
 #include "common/rng.h"
 #include "core/bank.h"
 #include "core/bucket_cascade.h"
@@ -495,6 +498,67 @@ void register_monitor_suite(Registry& registry) {
       parsed_obs += parsed ? parsed->controller.observations : 0;
     }
     do_not_optimize(parsed_obs);
+  });
+
+  // One journal compaction at fleet scale: 10k live SRAA records (the
+  // record above, one per stream) plus the superseded ones that carry the
+  // journal past the fleet engine's 16 MiB default threshold. Refilling the
+  // journal up to the trip point is untimed; one operation is the append
+  // that trips it, i.e. one full compaction.
+  struct CompactFixture {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("rejuv_bench_compact_" + std::to_string(::getpid()) + ".jsonl"))
+                           .string();
+    std::uint64_t threshold = monitor::FleetConfig{}.journal_compact_bytes;
+    std::unique_ptr<monitor::CheckpointWriter> writer;
+    std::vector<monitor::ShardCheckpoint> records;
+    std::size_t next = 0;        ///< round-robin cursor over records
+    std::uint64_t bytes = 0;     ///< journal size as the writer sees it
+    std::uint64_t trip = 0;      ///< the writer's next compaction point
+
+    ~CompactFixture() {
+      writer.reset();
+      std::remove(path.c_str());
+    }
+    std::uint64_t next_line_bytes() const { return monitor::to_json(records[next]).size() + 1; }
+    void append_next() {
+      monitor::ShardCheckpoint& record = records[next];
+      ++record.controller.observations;
+      writer->append(record);
+      next = (next + 1) % records.size();
+    }
+  };
+  const auto compact = std::make_shared<CompactFixture>();
+  registry.add("monitor", "monitor.checkpoint.compact_10k", [checkpoint, compact](std::uint64_t n) {
+    CompactFixture& f = *compact;
+    if (!f.writer) {
+      std::remove(f.path.c_str());
+      f.writer = std::make_unique<monitor::CheckpointWriter>(f.path, f.threshold);
+      f.records.assign(10'000, *checkpoint);
+      for (std::uint32_t i = 0; i < f.records.size(); ++i) {
+        f.records[i].shard = i;
+        f.records[i].shard_count = 1;
+        f.records[i].stream_id = 1'000'000 + i;
+      }
+      f.trip = f.threshold;
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      untimed([&f] {
+        for (std::uint64_t line = f.next_line_bytes(); f.bytes + line < f.trip;
+             line = f.next_line_bytes()) {
+          f.append_next();
+          f.bytes += line;
+        }
+      });
+      const std::uint64_t compactions = f.writer->compactions();
+      f.append_next();
+      REJUV_EXPECT(f.writer->compactions() == compactions + 1,
+                   "monitor.checkpoint.compact_10k: the timed append did not compact");
+      untimed([&f] {
+        f.bytes = std::filesystem::file_size(f.path);
+        f.trip = std::max(f.threshold, 2 * f.bytes);
+      });
+    }
   });
 }
 

@@ -1,12 +1,30 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "common/expect.h"
 
 namespace rejuv::common {
+
+namespace {
+
+// The whole of `text` as a number; throws std::invalid_argument naming the
+// flag on anything else ("oops", "12abc", "").
+template <typename Number>
+Number parse_flag_value(const std::string& key, std::string_view text) {
+  Number value{};
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc{} || ptr != last) {
+    throw std::invalid_argument("invalid value for --" + key + ": '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 Flags Flags::parse(int argc, const char* const* argv) {
   Flags flags;
@@ -44,13 +62,13 @@ std::optional<std::string> Flags::get(const std::string& key) const {
 std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const {
   const auto value = get(key);
   if (!value) return fallback;
-  return std::stoll(*value);
+  return parse_flag_value<std::int64_t>(key, *value);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto value = get(key);
   if (!value) return fallback;
-  return std::stod(*value);
+  return parse_flag_value<double>(key, *value);
 }
 
 std::vector<double> Flags::get_double_list(const std::string& key,
@@ -62,7 +80,10 @@ std::vector<double> Flags::get_double_list(const std::string& key,
   while (start <= value->size()) {
     const auto comma = value->find(',', start);
     const auto end = comma == std::string::npos ? value->size() : comma;
-    if (end > start) out.push_back(std::stod(value->substr(start, end - start)));
+    if (end > start) {
+      out.push_back(
+          parse_flag_value<double>(key, std::string_view(*value).substr(start, end - start)));
+    }
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -30,6 +30,8 @@ class Flags {
 
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
+  /// Numeric getters parse the whole value and throw std::invalid_argument
+  /// naming the flag when it is not a number ("oops", "12abc").
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
 

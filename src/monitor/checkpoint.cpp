@@ -1,11 +1,17 @@
 #include "monitor/checkpoint.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/sink.h"
 
@@ -13,21 +19,27 @@ namespace rejuv::monitor {
 
 namespace {
 
-// Shortest form that parses back to the identical double (std::to_chars),
-// the same guarantee the trace sinks rely on.
-std::string format_double(double value) {
-  char buffer[32];
+template <typename Integer>
+void append_int(std::string& out, Integer value) {
+  char buffer[24];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return std::string(buffer, result.ptr);
+  out.append(buffer, result.ptr);
 }
 
-std::string join_u64(const std::vector<std::uint64_t>& values) {
-  std::string text;
+// Shortest form that parses back to the identical double (std::to_chars),
+// the same guarantee the trace sinks rely on.
+void append_double(std::string& out, double value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
+template <typename T, typename AppendOne>
+void append_joined(std::string& out, const std::vector<T>& values, AppendOne append_one) {
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) text += ",";
-    text += std::to_string(values[i]);
+    if (i > 0) out += ',';
+    append_one(out, values[i]);
   }
-  return text;
 }
 
 std::optional<std::vector<std::uint64_t>> split_u64(std::string_view text) {
@@ -44,15 +56,6 @@ std::optional<std::vector<std::uint64_t>> split_u64(std::string_view text) {
     start = comma + 1;
   }
   return values;
-}
-
-std::string join_f64(const std::vector<double>& values) {
-  std::string text;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) text += ",";
-    text += format_double(values[i]);
-  }
-  return text;
 }
 
 std::optional<std::vector<double>> split_f64(std::string_view text) {
@@ -135,57 +138,100 @@ std::optional<double> parse_number(Scanner& scanner) {
   return value;
 }
 
-}  // namespace
+void append_bool(std::string& out, bool value) { out += value ? "true" : "false"; }
 
-std::string to_json(const ShardCheckpoint& checkpoint) {
+void append_string(std::string& out, std::string_view text) {
+  out += '"';
+  obs::append_json_escaped(out, text);
+  out += '"';
+}
+
+// Appends one record's JSON line (no trailing newline) to `line`; with a
+// reused buffer, serialization allocates nothing.
+void append_json(std::string& line, const ShardCheckpoint& checkpoint) {
   const core::ControllerState& controller = checkpoint.controller;
   const core::DetectorState& detector = controller.detector;
-  std::string line;
-  line.reserve(512);
-  line += "{\"v\":" + std::to_string(checkpoint.version);
-  line += ",\"spec\":\"" + obs::json_escape(checkpoint.spec) + "\"";
-  line += ",\"shard\":" + std::to_string(checkpoint.shard);
-  line += ",\"shards\":" + std::to_string(checkpoint.shard_count);
-  line += ",\"tsa\":" + std::to_string(checkpoint.triggers_since_action);
+  line += "{\"v\":";
+  append_int(line, checkpoint.version);
+  line += ",\"spec\":";
+  append_string(line, checkpoint.spec);
+  line += ",\"shard\":";
+  append_int(line, checkpoint.shard);
+  line += ",\"shards\":";
+  append_int(line, checkpoint.shard_count);
+  line += ",\"tsa\":";
+  append_int(line, checkpoint.triggers_since_action);
   // Fleet-mode external stream id; absent on classic per-shard records so
   // those stay byte-identical to the PR 3 format.
   if (checkpoint.stream_id) {
-    line += ",\"sid\":" + std::to_string(*checkpoint.stream_id);
+    line += ",\"sid\":";
+    append_int(line, *checkpoint.stream_id);
   }
-  line += ",\"obs\":" + std::to_string(controller.observations);
-  line += ",\"cooldown\":" + std::to_string(controller.cooldown_remaining);
-  line += ",\"triggers\":\"" + join_u64(controller.trigger_indices) + "\"";
-  line += ",\"alg\":\"" + obs::json_escape(detector.algorithm) + "\"";
+  line += ",\"obs\":";
+  append_int(line, controller.observations);
+  line += ",\"cooldown\":";
+  append_int(line, controller.cooldown_remaining);
+  line += ",\"triggers\":\"";
+  append_joined(line, controller.trigger_indices, append_int<std::uint64_t>);
+  line += "\",\"alg\":";
+  append_string(line, detector.algorithm);
   line += ",\"cascade\":";
-  line += detector.has_cascade ? "true" : "false";
-  line += ",\"bucket\":" + std::to_string(detector.bucket);
-  line += ",\"fill\":" + std::to_string(detector.fill);
+  append_bool(line, detector.has_cascade);
+  line += ",\"bucket\":";
+  append_int(line, detector.bucket);
+  line += ",\"fill\":";
+  append_int(line, detector.fill);
   line += ",\"window\":";
-  line += detector.has_window ? "true" : "false";
-  line += ",\"wlen\":" + std::to_string(detector.window_length);
-  line += ",\"wnext\":" + std::to_string(detector.window_next);
-  line += ",\"wcount\":" + std::to_string(detector.window_count);
-  line += ",\"wsum\":" + format_double(detector.window_sum);
-  line += ",\"curn\":" + std::to_string(detector.current_n);
-  line += ",\"lastavg\":" + format_double(detector.last_average);
+  append_bool(line, detector.has_window);
+  line += ",\"wlen\":";
+  append_int(line, detector.window_length);
+  line += ",\"wnext\":";
+  append_int(line, detector.window_next);
+  line += ",\"wcount\":";
+  append_int(line, detector.window_count);
+  line += ",\"wsum\":";
+  append_double(line, detector.window_sum);
+  line += ",\"curn\":";
+  append_int(line, detector.current_n);
+  line += ",\"lastavg\":";
+  append_double(line, detector.last_average);
   line += ",\"calib\":";
-  line += detector.calibrating ? "true" : "false";
-  line += ",\"ccount\":" + std::to_string(detector.calibration_count);
-  line += ",\"cmean\":" + format_double(detector.calibration_mean);
-  line += ",\"cm2\":" + format_double(detector.calibration_m2);
-  line += ",\"cmin\":" + format_double(detector.calibration_min);
-  line += ",\"cmax\":" + format_double(detector.calibration_max);
-  line += ",\"bmean\":" + format_double(detector.baseline_mean);
-  line += ",\"bstddev\":" + format_double(detector.baseline_stddev);
+  append_bool(line, detector.calibrating);
+  line += ",\"ccount\":";
+  append_int(line, detector.calibration_count);
+  line += ",\"cmean\":";
+  append_double(line, detector.calibration_mean);
+  line += ",\"cm2\":";
+  append_double(line, detector.calibration_m2);
+  line += ",\"cmin\":";
+  append_double(line, detector.calibration_min);
+  line += ",\"cmax\":";
+  append_double(line, detector.calibration_max);
+  line += ",\"bmean\":";
+  append_double(line, detector.baseline_mean);
+  line += ",\"bstddev\":";
+  append_double(line, detector.baseline_stddev);
   // Registry extension payload: families beyond the flat fields (Adaptive,
   // EDiv, Entropy, MK, ...). Old readers ignore the unknown keys; an empty
   // tag keeps the line byte-identical to the pre-extension format.
   if (!detector.extra_tag.empty() || !detector.extra_u64.empty() || !detector.extra_f64.empty()) {
-    line += ",\"xtag\":\"" + obs::json_escape(detector.extra_tag) + "\"";
-    line += ",\"xu\":\"" + join_u64(detector.extra_u64) + "\"";
-    line += ",\"xf\":\"" + join_f64(detector.extra_f64) + "\"";
+    line += ",\"xtag\":";
+    append_string(line, detector.extra_tag);
+    line += ",\"xu\":\"";
+    append_joined(line, detector.extra_u64, append_int<std::uint64_t>);
+    line += "\",\"xf\":\"";
+    append_joined(line, detector.extra_f64, append_double);
+    line += '"';
   }
-  line += "}";
+  line += '}';
+}
+
+}  // namespace
+
+std::string to_json(const ShardCheckpoint& checkpoint) {
+  std::string line;
+  line.reserve(512);
+  append_json(line, checkpoint);
   return line;
 }
 
@@ -297,6 +343,60 @@ std::optional<ShardCheckpoint> parse_checkpoint_line(std::string_view line) {
   return checkpoint;
 }
 
+namespace {
+
+// Last valid record per shard among the lines of `path` that start before
+// byte `limit`, skipping the shards `skip` names; torn or foreign lines are
+// skipped, and an unreadable file yields nothing.
+template <typename Skip>
+std::map<std::uint32_t, ShardCheckpoint> latest_records(const std::string& path,
+                                                        std::uint64_t limit, Skip skip) {
+  std::ifstream in(path);
+  std::map<std::uint32_t, ShardCheckpoint> latest;
+  std::string line;
+  std::uint64_t consumed = 0;
+  while (consumed < limit && std::getline(in, line)) {
+    consumed += line.size() + 1;
+    auto checkpoint = parse_checkpoint_line(line);
+    if (!checkpoint || skip(checkpoint->shard)) continue;
+    latest[checkpoint->shard] = std::move(*checkpoint);
+  }
+  return latest;
+}
+
+// A journal opened read-only, closed on scope exit.
+class ReadOnlyFile {
+ public:
+  explicit ReadOnlyFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadOnlyFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+
+  bool is_open() const noexcept { return fd_ >= 0; }
+
+  /// Reads exactly `length` bytes at `offset`; false on a short read, an
+  /// error or a file that did not open.
+  bool read_at(char* out, std::uint64_t length, std::uint64_t offset) const {
+    while (length > 0) {
+      const ssize_t n = ::pread(fd_, out, length, static_cast<off_t>(offset));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      out += n;
+      length -= static_cast<std::uint64_t>(n);
+      offset += static_cast<std::uint64_t>(n);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+};
+
+}  // namespace
+
 CheckpointWriter::CheckpointWriter(const std::string& path, std::uint64_t compact_threshold_bytes)
     : path_(path), compact_threshold_(compact_threshold_bytes),
       next_compact_(compact_threshold_bytes) {
@@ -309,6 +409,18 @@ CheckpointWriter::CheckpointWriter(const std::string& path, std::uint64_t compac
   std::fseek(file_, 0, SEEK_END);
   const long size = std::ftell(file_);
   if (size > 0) bytes_ = static_cast<std::uint64_t>(size);
+  // A crash mid-append leaves a torn last line: end it, so the next record
+  // is a line of its own (and every indexed offset starts a line).
+  if (bytes_ > 0) {
+    char last = '\n';  // stays '\n' if the last byte cannot be read
+    ReadOnlyFile(path).read_at(&last, 1, bytes_ - 1);
+    if (last != '\n') {
+      std::fputc('\n', file_);
+      std::fflush(file_);
+      ++bytes_;
+    }
+  }
+  unindexed_ = bytes_;
 }
 
 CheckpointWriter::~CheckpointWriter() {
@@ -316,55 +428,100 @@ CheckpointWriter::~CheckpointWriter() {
 }
 
 void CheckpointWriter::append(const ShardCheckpoint& checkpoint) {
-  const std::string line = to_json(checkpoint) + "\n";
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-  bytes_ += line.size();
-  if (compact_threshold_ > 0 && bytes_ >= next_compact_) compact_locked();
+  line_.clear();
+  append_json(line_, checkpoint);
+  line_ += '\n';
+  const bool written = std::fwrite(line_.data(), 1, line_.size(), file_) == line_.size() &&
+                       std::fflush(file_) == 0;
+  if (compact_threshold_ == 0) {
+    bytes_ += line_.size();
+    return;
+  }
+  if (!written) {
+    // Whatever reached the file, the offsets are unknown now: index nothing
+    // until the next compaction, which re-parses the whole journal.
+    std::clearerr(file_);
+    index_.clear();
+    unindexed_ = kWholeFile;
+  } else if (unindexed_ != kWholeFile) {
+    index_.insert_or_assign(checkpoint.shard, LineRef{bytes_, line_.size()});
+  }
+  bytes_ += line_.size();
+  if (bytes_ >= next_compact_) compact_locked();
 }
 
 void CheckpointWriter::compact_locked() {
-  // Everything is flushed, so re-reading the journal sees every record; the
-  // last valid line per shard is exactly the live set.
-  const std::vector<ShardCheckpoint> live = read_latest_checkpoints(path_);
+  // Live records come from two places: the lines this writer appended
+  // (indexed, copied verbatim) and the records of the unindexed head of the
+  // file (parsed here, re-serialized). Each goes out in ascending shard
+  // order, the order read_latest_checkpoints returns.
+  const std::map<std::uint32_t, ShardCheckpoint> inherited =
+      unindexed_ == 0 ? std::map<std::uint32_t, ShardCheckpoint>{}
+                      : latest_records(path_, unindexed_, [this](std::uint32_t shard) {
+                          return index_.count(shard) != 0;
+                        });
+  std::vector<std::pair<std::uint32_t, LineRef>> indexed(index_.begin(), index_.end());
+  std::sort(indexed.begin(), indexed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  const ReadOnlyFile journal(path_);
+  if (!journal.is_open()) return;  // can't compact now; append path still works
   const std::string tmp_path = path_ + ".compact.tmp";
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "w");
-  if (tmp == nullptr) return;  // can't compact now; append path still works
+  if (tmp == nullptr) return;
+  // The new journal's layout, which becomes the index once it is in place.
+  std::vector<std::pair<std::uint32_t, LineRef>> rebased;
+  rebased.reserve(indexed.size() + inherited.size());
+  std::string line;
   std::uint64_t live_bytes = 0;
-  for (const ShardCheckpoint& record : live) {
-    const std::string line = to_json(record) + "\n";
-    std::fwrite(line.data(), 1, line.size(), tmp);
+  bool ok = true;
+  auto next_inherited = inherited.begin();
+  auto next_indexed = indexed.begin();
+  while (ok && (next_inherited != inherited.end() || next_indexed != indexed.end())) {
+    std::uint32_t shard = 0;
+    if (next_indexed == indexed.end() ||
+        (next_inherited != inherited.end() && next_inherited->first < next_indexed->first)) {
+      shard = next_inherited->first;
+      line.clear();
+      append_json(line, next_inherited->second);
+      line += '\n';
+      ++next_inherited;
+    } else {
+      shard = next_indexed->first;
+      const LineRef ref = next_indexed->second;
+      line.resize(ref.length);
+      ok = journal.read_at(line.data(), ref.length, ref.offset);
+      ++next_indexed;
+    }
+    ok = ok && std::fwrite(line.data(), 1, line.size(), tmp) == line.size();
+    rebased.emplace_back(shard, LineRef{live_bytes, line.size()});
     live_bytes += line.size();
   }
-  std::fflush(tmp);
-  std::fclose(tmp);
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+  ok = ok && std::fflush(tmp) == 0;
+  if (!ok || std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+    std::fclose(tmp);
     std::remove(tmp_path.c_str());
     return;
   }
-  std::FILE* reopened = std::fopen(path_.c_str(), "a");
-  if (reopened == nullptr) return;  // keep the old handle (now unlinked inode)
+  // The temp file's handle now appends to the renamed journal.
   std::fclose(file_);
-  file_ = reopened;
+  file_ = tmp;
+  for (const auto& [shard, ref] : rebased) index_.insert_or_assign(shard, ref);
+  unindexed_ = 0;
   const std::uint64_t before = bytes_;
   bytes_ = live_bytes;
   ++compactions_;
   // A journal that is mostly live would otherwise trip on every append;
   // back off to twice the live size so rewrites stay amortized O(1).
   next_compact_ = std::max(compact_threshold_, live_bytes * 2);
-  if (hook_) hook_(live.size(), before, live_bytes);
+  if (hook_) hook_(rebased.size(), before, live_bytes);
 }
 
 std::vector<ShardCheckpoint> read_latest_checkpoints(const std::string& path) {
-  std::ifstream in(path);
-  std::map<std::uint32_t, ShardCheckpoint> latest;
-  std::string line;
-  while (std::getline(in, line)) {
-    auto checkpoint = parse_checkpoint_line(line);
-    if (!checkpoint) continue;  // torn or foreign line: skip, keep scanning
-    latest[checkpoint->shard] = std::move(*checkpoint);
-  }
+  std::map<std::uint32_t, ShardCheckpoint> latest =
+      latest_records(path, std::numeric_limits<std::uint64_t>::max(),
+                     [](std::uint32_t) { return false; });
   std::vector<ShardCheckpoint> records;
   records.reserve(latest.size());
   for (auto& [shard, record] : latest) records.push_back(std::move(record));

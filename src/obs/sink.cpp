@@ -32,38 +32,42 @@ std::string csv_escape(std::string_view text) {
 
 }  // namespace
 
-std::string json_escape(std::string_view text) {
-  std::string escaped;
-  escaped.reserve(text.size());
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"':
-        escaped += "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        escaped += "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        escaped += "\\n";
+        out += "\\n";
         break;
       case '\r':
-        escaped += "\\r";
+        out += "\\r";
         break;
       case '\t':
-        escaped += "\\t";
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           constexpr char kHex[] = "0123456789abcdef";
-          escaped += "\\u00";
-          escaped.push_back(kHex[(c >> 4) & 0xF]);
-          escaped.push_back(kHex[c & 0xF]);
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xF]);
+          out.push_back(kHex[c & 0xF]);
         } else {
-          escaped.push_back(c);
+          out.push_back(c);
         }
         break;
     }
   }
+}
+
+std::string json_escape(std::string_view text) {
+  std::string escaped;
+  escaped.reserve(text.size());
+  append_json_escaped(escaped, text);
   return escaped;
 }
 

@@ -92,4 +92,7 @@ std::string to_csv(const TraceEvent& event);
 /// (backslash, quote, and control characters).
 std::string json_escape(std::string_view text);
 
+/// json_escape appending to `out`: no temporary string.
+void append_json_escaped(std::string& out, std::string_view text);
+
 }  // namespace rejuv::obs

@@ -201,6 +201,24 @@ TEST(Flags, ListFallbackUsedWhenAbsent) {
   ASSERT_EQ(loads.size(), 2u);
 }
 
+TEST(Flags, NumericValuesMustBeWholeNumbers) {
+  const char* argv[] = {"prog", "--a=oops", "--b=12abc", "--c=", "--d=1.5x", "--e=-7",
+                        "--f=1e-3", "--g=1,x"};
+  const Flags flags = Flags::parse(8, argv);
+  EXPECT_THROW(flags.get_int("a", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("b", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("c", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double_list("g", {}), std::invalid_argument);
+  EXPECT_EQ(flags.get_int("e", 0), -7);
+  EXPECT_DOUBLE_EQ(flags.get_double("f", 0.0), 1e-3);
+  try {
+    (void)flags.get_int("b", 0);
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--b"), std::string::npos) << error.what();
+  }
+}
+
 TEST(Flags, RejectsNonFlagArguments) {
   const char* argv[] = {"prog", "positional"};
   EXPECT_THROW(Flags::parse(2, argv), std::invalid_argument);

@@ -44,9 +44,10 @@ cd "$(dirname "$0")/.."
 # build) and runs the test binaries that exercise real threads: the online
 # monitor runtime, the observability registry, the work-stealing execution
 # engine (exec_test plus the parallel-sweep harness tests), the cluster
-# suite (whose strategy x budget sweep fans out over the shared pool), and
-# the fleet engine with its wire-protocol suite (epoll ingest thread feeding
-# shard workers through SPSC queues).
+# suite (whose strategy x budget sweep fans out over the shared pool), the
+# fleet engine with its wire-protocol suite (epoll ingest thread feeding
+# shard workers through SPSC queues), and the checkpoint writer (shard
+# workers appending and compacting one journal concurrently).
 if [ "${1:-}" = "tsan" ]; then
   BUILD_DIR="${2:-build-tsan}"
   GENERATOR_ARGS=()
@@ -58,7 +59,8 @@ if [ "${1:-}" = "tsan" ]; then
   echo "==> tsan build (threaded test binaries)"
   cmake --build "$BUILD_DIR" -j --target monitor_test faults_test obs_test exec_test \
       harness_test property_test bank_differential_test bank_fuzz_test \
-      cluster_test cluster_coordinator_test cluster_chaos_test fleet_test wire_test
+      cluster_test cluster_coordinator_test cluster_chaos_test fleet_test wire_test \
+      checkpoint_writer_test
   echo "==> tsan run"
   "$BUILD_DIR"/tests/monitor_test
   "$BUILD_DIR"/tests/faults_test
@@ -73,6 +75,7 @@ if [ "${1:-}" = "tsan" ]; then
   "$BUILD_DIR"/tests/cluster_chaos_test
   "$BUILD_DIR"/tests/fleet_test
   "$BUILD_DIR"/tests/wire_test
+  "$BUILD_DIR"/tests/checkpoint_writer_test
   echo "==> ci.sh tsan: all green"
   exit 0
 fi
